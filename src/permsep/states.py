@@ -14,7 +14,12 @@ norm of some permuted image exceeds 1.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import json
+import numbers
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +30,10 @@ from .perms import Permutation
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
+# Largest n in the table in BENCH_2.json at which a complex n x n SVD was
+# no slower on one OpenBLAS thread than at the default count; at n >= 343
+# the default was as fast or faster.
+SINGLE_THREAD_SVD_MAX_N = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,6 +64,10 @@ def density_matrix(matrix: np.ndarray, dim: int, parties: int) -> DensityMatrix:
         raise ValueError(
             f"shape: expected {n}x{n} for d={dim}, r={parties}, got {matrix.shape}"
         )
+    bad = np.argwhere(~np.isfinite(matrix))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"finiteness: entry ({i}, {j}) is {matrix[i, j]}")
     dev = np.abs(matrix - matrix.conj().T).max()
     if dev > HERMITICITY_TOL:
         raise ValueError(f"hermiticity: max |A - A^dagger| = {dev:.3e}")
@@ -93,12 +106,86 @@ def apply_criterion(matrix: np.ndarray, sigma: Permutation, dim: int) -> np.ndar
     return np.ascontiguousarray(tensor.transpose(np.argsort(axes)).reshape(n, n))
 
 
+class _OneBlasThread:
+    """Context manager that runs OpenBLAS on one thread inside it.
+
+    The thread count is process-wide, so concurrent entrants share one
+    limit: the first saves the caller's count and the last restores it.
+    """
+
+    def __init__(self, get, set_):
+        self.get = get
+        self._set = set_
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 0
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = self.get()
+                self._set(1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                self._set(self._saved)
+
+
+_PROBE_LOCK = threading.Lock()
+
+
+def _one_blas_thread() -> _OneBlasThread | None:
+    """The thread limit for the OpenBLAS numpy loaded, or None where there
+    is none to find (no /proc, MKL, Accelerate).
+
+    The probe runs once, on first use; the lock makes concurrent first
+    callers share one limit, which the depth count in it relies on.
+    """
+    with _PROBE_LOCK:
+        return _probe_openblas()
+
+
+@functools.cache
+def _probe_openblas() -> _OneBlasThread | None:
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return None
+    paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()}
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                try:
+                    get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                    set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+                except AttributeError:
+                    continue
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return _OneBlasThread(get, set_)
+    return None
+
+
 def trace_norm(matrix: np.ndarray) -> float:
-    """Sum of singular values."""
+    """Sum of singular values.
+
+    Up to SINGLE_THREAD_SVD_MAX_N the SVD runs on one OpenBLAS thread,
+    which is faster there, and the caller's thread count is restored after.
+    """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"trace norm needs a square matrix, got {matrix.shape}")
-    return float(np.linalg.svd(matrix, compute_uv=False).sum())
+    limit = _one_blas_thread() if matrix.shape[0] <= SINGLE_THREAD_SVD_MAX_N else None
+    with limit or contextlib.nullcontext():
+        return float(np.linalg.svd(matrix, compute_uv=False).sum())
 
 
 _CHESSBOARD = np.array(
@@ -241,7 +328,8 @@ def state_from_dict(data: dict) -> DensityMatrix:
 
     Either {"builtin": "chessboard" | "bell"} or an explicit matrix
     {"d": int, "r": int, "re": [[...]], "im": [[...]]} with row-major
-    d^r x d^r arrays.  Validation failures name the violated invariant.
+    d^r x d^r arrays; "im" may be missing or null for a real matrix.
+    Validation failures name the violated invariant or key.
     """
     if "builtin" in data:
         name = data["builtin"]
@@ -253,9 +341,13 @@ def state_from_dict(data: dict) -> DensityMatrix:
     for key in ("d", "r", "re"):
         if key not in data:
             raise ValueError(f"state object is missing key {key!r}")
+    for key in ("d", "r"):
+        if not isinstance(data[key], numbers.Integral) or isinstance(data[key], bool):
+            raise ValueError(f"key {key!r} must be an integer, got {data[key]!r}")
     dim, parties = int(data["d"]), int(data["r"])
     re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float)
+    im = data.get("im")
+    im = np.zeros_like(re) if im is None else np.asarray(im, dtype=float)
     if re.shape != im.shape:
         raise ValueError(f"re/im shapes differ: {re.shape} vs {im.shape}")
     return density_matrix(re + 1j * im, dim, parties)

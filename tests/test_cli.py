@@ -79,6 +79,36 @@ def test_evaluate_rejects_invalid_state(tmp_path, capsys):
     assert "trace" in err
 
 
+def test_evaluate_rejects_non_finite_entry(tmp_path, capsys):
+    re = (np.eye(4) / 4).tolist()
+    re[1][1] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"d": 2, "r": 2, "re": re}))
+    code, _, err = run(capsys, "evaluate", "--state", str(path))
+    assert code == 2
+    assert "finiteness: entry (1, 1) is" in err
+
+
+@pytest.mark.parametrize("key", ["d", "r"])
+@pytest.mark.parametrize("value", [2.7, "2", True])
+def test_evaluate_rejects_non_integer_dimensions(tmp_path, capsys, key, value):
+    data = {"d": 2, "r": 1, "re": [[0.5, 0.0], [0.0, 0.5]]}
+    data[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "evaluate", "--state", str(path))
+    assert code == 2
+    assert f"key '{key}' must be an integer" in err
+
+
+def test_evaluate_accepts_null_imaginary_part(tmp_path, capsys):
+    path = tmp_path / "real.json"
+    path.write_text(json.dumps({"d": 2, "r": 1, "re": [[0.5, 0.0], [0.0, 0.5]], "im": None}))
+    code, out, _ = run(capsys, "evaluate", "--state", str(path))
+    assert code == 0
+    assert "d=2, r=1" in out
+
+
 def test_evaluate_rejects_mismatched_expectations(capsys):
     code, _, err = run(
         capsys, "evaluate", "--builtin", "bell", "--dim", "3"

@@ -1,10 +1,13 @@
 """Numerics: the entry map, trace norms, state constructors, file format."""
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from permsep import states
 from permsep.criteria import enumerate_classes, roles_from_string, to_permutation
 from permsep.perms import (
     Permutation,
@@ -13,6 +16,7 @@ from permsep.perms import (
     identity,
 )
 from permsep.states import (
+    SINGLE_THREAD_SVD_MAX_N,
     apply_criterion,
     bell_state,
     chessboard_state,
@@ -32,6 +36,7 @@ from permsep.states import (
     tensor_product,
     trace_norm,
 )
+from permsep.verify import class_norms
 
 from conftest import apply_reference, random_complex, random_hermitian
 
@@ -140,6 +145,92 @@ def test_trace_norm_invariances_and_multiplicativity():
     assert abs(trace_norm(a) - trace_norm(a.conj())) < 1e-10
     assert abs(trace_norm(a) - trace_norm(a.T)) < 1e-10
     assert abs(trace_norm(np.kron(a, b)) - trace_norm(a) * trace_norm(b)) < 1e-9
+
+
+def _realigned_random_state(d, r, seed):
+    rho = random_state(d, r, np.random.default_rng(seed))
+    realign = Permutation((1, 3, 2, 4) + tuple(range(5, 2 * r + 1)))
+    return apply_criterion(rho.matrix, realign, d)
+
+
+@pytest.fixture
+def blas_limit():
+    """The OpenBLAS thread limit, with the caller's count set to 2 so that a
+    missed restore (which would leave 1) shows; the original is put back."""
+    limit = states._one_blas_thread()
+    if limit is None:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread control here")
+    original = limit.get()
+    limit._set(2)
+    yield limit
+    limit._set(original)
+
+
+@pytest.mark.parametrize("d,r", [(2, 6), (7, 3)])
+def test_trace_norm_matches_plain_svd_on_both_sides_of_crossover(d, r):
+    image = _realigned_random_state(d, r, 61)
+    assert (d**r <= SINGLE_THREAD_SVD_MAX_N) == (d == 2)
+    expected = np.linalg.svd(image, compute_uv=False).sum()
+    assert abs(trace_norm(image) - expected) < 1e-12
+
+
+def test_trace_norm_limits_small_svds_and_restores_thread_count(blas_limit, monkeypatch):
+    before = blas_limit.get()
+    seen = []
+    svd = np.linalg.svd
+
+    def spy(matrix, **kwargs):
+        seen.append(blas_limit.get())
+        return svd(matrix, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    trace_norm(np.eye(SINGLE_THREAD_SVD_MAX_N) / SINGLE_THREAD_SVD_MAX_N)
+    trace_norm(np.eye(SINGLE_THREAD_SVD_MAX_N + 1) / (SINGLE_THREAD_SVD_MAX_N + 1))
+    assert seen == [1, before]
+    assert blas_limit.get() == before
+    with pytest.raises(np.linalg.LinAlgError):
+        trace_norm(np.full((8, 8), np.nan))
+    assert blas_limit.get() == before
+
+
+def test_trace_norm_without_thread_control_is_the_plain_svd(monkeypatch):
+    monkeypatch.setattr(states, "_one_blas_thread", lambda: None)
+    for d, r in [(2, 2), (2, 6), (3, 5)]:
+        image = _realigned_random_state(d, r, 67)
+        assert trace_norm(image) == float(np.linalg.svd(image, compute_uv=False).sum())
+
+
+def test_concurrent_trace_norms_restore_thread_count(blas_limit):
+    before = blas_limit.get()
+    image = _realigned_random_state(2, 4, 73)
+    expected = trace_norm(image)
+    results = []
+
+    def work():
+        for _ in range(200):
+            results.append(trace_norm(image))
+
+    workers = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert len(results) == 800 and set(results) == {expected}
+    assert blas_limit.get() == before
+
+
+def test_seeded_class_norms_repeat_bit_for_bit():
+    runs = [
+        [norm for _, norm in class_norms(random_state(2, 6, np.random.default_rng(71)))]
+        for _ in range(2)
+    ]
+    assert runs[0] == runs[1]
 
 
 # --- explicit states --------------------------------------------------------------
@@ -297,6 +388,11 @@ def test_density_matrix_diagnostics_name_the_invariant():
     bad_herm[0, 1] = 1j * 1e-6
     with pytest.raises(ValueError, match="hermiticity"):
         density_matrix(bad_herm, 2, 2)
+    not_finite = good.copy()
+    not_finite[0, 1] = not_finite[1, 0] = np.inf
+    not_finite[2, 2] = np.nan
+    with pytest.raises(ValueError, match=r"finiteness: entry \(0, 1\) is \(inf\+0j\)"):
+        density_matrix(not_finite, 2, 2)
     with pytest.raises(ValueError, match="trace"):
         density_matrix(np.eye(4) / 2, 2, 2)
     with pytest.raises(ValueError, match="positivity"):
@@ -335,8 +431,8 @@ def test_state_dict_builtins_and_errors():
 
 def test_real_only_state_file():
     data = {"d": 2, "r": 1, "re": [[0.5, 0], [0, 0.5]]}
-    rho = state_from_dict(data)
-    assert np.array_equal(rho.matrix, np.eye(2) / 2)
+    for state in (data, dict(data, im=None)):
+        assert np.array_equal(state_from_dict(state).matrix, np.eye(2) / 2)
 
 
 def test_density_matrices_are_frozen():
