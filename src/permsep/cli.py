@@ -75,7 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_beta = sub.add_parser(
         "beta-sweep", help="detection thresholds on the noisy two-copy chessboard family"
     )
-    p_beta.add_argument("--steps", type=int, default=12)
+    p_beta.add_argument(
+        "--steps",
+        type=int,
+        default=12,
+        help="kept for compatibility: validated (>= 10) and reported, but "
+        "thresholds come from bisection and do not depend on it",
+    )
     p_beta.add_argument("--tol", type=float, default=1e-9)
     p_beta.add_argument("--format", choices=("table", "json"), default="table")
 

@@ -1,4 +1,4 @@
-"""Dense complex matrices with party structure and the slot-permutation map.
+"""Dense matrices with party structure and the slot-permutation map.
 
 Index layout (fixed once, everything else depends on it): a matrix on r
 subsystems of local dimension d is indexed by 2r digits i_1 .. i_2r, each in
@@ -53,27 +53,37 @@ class DensityMatrix:
 
 
 def density_matrix(matrix: np.ndarray, dim: int, parties: int) -> DensityMatrix:
-    """Validate and wrap a raw matrix, naming the violated invariant on failure."""
+    """Validate and wrap a raw matrix, naming the violated invariant on failure.
+
+    The state keeps a private read-only copy: float64 when no entry has a
+    nonzero imaginary part, so its images run real SVDs, else complex128.
+    """
     if dim < 2:
         raise ValueError(f"local dimension must be >= 2, got {dim}")
     if parties < 1:
         raise ValueError(f"parties must be >= 1, got {parties}")
-    matrix = np.ascontiguousarray(matrix, dtype=complex)
+    matrix = np.asarray(matrix)
+    if np.iscomplexobj(matrix) and matrix.imag.any():
+        matrix = np.array(matrix, dtype=complex, order="C")
+    else:
+        matrix = np.array(matrix.real, dtype=float, order="C")
     n = dim**parties
     if matrix.shape != (n, n):
         raise ValueError(
             f"shape: expected {n}x{n} for d={dim}, r={parties}, got {matrix.shape}"
         )
+    # entries and the trace print as complex numbers, so the messages read
+    # the same whether the state is stored real or complex
     bad = np.argwhere(~np.isfinite(matrix))
     if len(bad):
         i, j = bad[0]
-        raise ValueError(f"finiteness: entry ({i}, {j}) is {matrix[i, j]}")
+        raise ValueError(f"finiteness: entry ({i}, {j}) is {np.complex128(matrix[i, j])}")
     dev = np.abs(matrix - matrix.conj().T).max()
     if dev > HERMITICITY_TOL:
         raise ValueError(f"hermiticity: max |A - A^dagger| = {dev:.3e}")
     tr = np.trace(matrix)
     if abs(tr - 1) > TRACE_TOL:
-        raise ValueError(f"trace: expected 1, got {tr:.15g}")
+        raise ValueError(f"trace: expected 1, got {np.complex128(tr):.15g}")
     lo = np.linalg.eigvalsh(matrix).min()
     if lo < EIGENVALUE_FLOOR:
         raise ValueError(f"positivity: minimum eigenvalue {lo:.3e}")

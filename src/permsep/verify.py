@@ -33,6 +33,13 @@ from .states import (
 LARGE_PARTIES = 7  # randomized suites above this need an explicit opt-in
 
 
+def _check_positive_finite(name: str, value: float) -> None:
+    """Reject a tolerance or threshold that is not a positive finite number:
+    a NaN compares false with every norm and would silently decide nothing."""
+    if not (0 < value < np.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class VerificationConfig:
     parties: int
@@ -47,8 +54,7 @@ class VerificationConfig:
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         for name in ("tolerance", "equality_threshold", "distinctness_threshold"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            _check_positive_finite(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -111,6 +117,7 @@ def evaluate_state(
     class_ids: list[int] | None = None,
 ) -> EvaluationReport:
     """Evaluate every criterion class (or a subset) on one state."""
+    _check_positive_finite("tolerance", tolerance)
     classes = enumerate_classes(rho.parties)
     if class_ids is not None:
         index = {cls.class_id: cls for cls in classes}
@@ -321,19 +328,24 @@ class BetaSweepReport:
 
 
 def beta_sweep(
-    steps: int = 12, tolerance: float = 1e-9, bisect_iters: int = 40
+    steps: int = 12, tolerance: float = 1e-9, bisect_iters: int = 44
 ) -> BetaSweepReport:
     """Detection thresholds on the two-copy chessboard family.
 
     The family is (1 - beta) * rho_c (x) rho_c + beta * I/81 on four
-    qutrits; for each criterion class the largest beta in [0, 1] still
-    violating the criterion is located by a coarse scan plus bisection
-    (0 when even beta = 0 is not detected).  Classes built only from
-    partial transposes never fire: the chessboard state is PPT and tensor
-    products and noise keep it so.
+    qutrits; for each criterion class the threshold is the largest beta in
+    [0, 1] still violating the criterion.  The norm is convex in beta and
+    at most 1 at beta = 1 (I/81 is separable), so the violating betas form
+    an interval [0, beta*): one SVD at beta = 0 settles a class that never
+    fires (threshold 0), and bisection on [0, 1] locates beta* for the
+    rest, to 2^-bisect_iters.  Classes built only from partial transposes
+    never fire: the chessboard state is PPT and tensor products and noise
+    keep it so.  ``steps`` is validated and reported but, since the
+    interval makes a grid scan redundant, no longer changes a threshold.
     """
     if steps < 10:
         raise ValueError(f"steps must be >= 10, got {steps}")
+    _check_positive_finite("tolerance", tolerance)
     base = tensor_product(chessboard_state(), chessboard_state())
     noise = maximally_mixed(3, 4)
     classes = enumerate_classes(4)
@@ -343,29 +355,23 @@ def beta_sweep(
         low = apply_criterion(base.matrix, sigma, 3)
         high = apply_criterion(noise.matrix, sigma, 3)
 
-        def norm_at(beta: float) -> float:
-            return trace_norm((1 - beta) * low + beta * high)
-
         def violated(beta: float) -> bool:
-            return norm_at(beta) > 1 + tolerance
+            return trace_norm((1 - beta) * low + beta * high) > 1 + tolerance
 
-        grid = np.linspace(0.0, 1.0, steps)
-        hits = [i for i, beta in enumerate(grid) if violated(beta)]
-        if not hits:
-            thresholds.append((cls.class_id, cls.label, 0.0))
-            continue
-        last = hits[-1]
-        if last == len(grid) - 1:
-            thresholds.append((cls.class_id, cls.label, 1.0))
-            continue
-        lo, hi = grid[last], grid[last + 1]
-        for _ in range(bisect_iters):
-            mid = 0.5 * (lo + hi)
-            if violated(mid):
-                lo = mid
-            else:
-                hi = mid
-        thresholds.append((cls.class_id, cls.label, float(lo)))
+        if not violated(0.0):
+            beta_star = 0.0
+        elif violated(1.0):
+            beta_star = 1.0
+        else:
+            lo, hi = 0.0, 1.0
+            for _ in range(bisect_iters):
+                mid = 0.5 * (lo + hi)
+                if violated(mid):
+                    lo = mid
+                else:
+                    hi = mid
+            beta_star = lo
+        thresholds.append((cls.class_id, cls.label, beta_star))
     return BetaSweepReport(
         steps=steps, tolerance=tolerance, class_thresholds=tuple(thresholds)
     )

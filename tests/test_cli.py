@@ -192,6 +192,15 @@ def test_beta_sweep_rejects_bad_steps(capsys):
     assert "steps" in err
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+@pytest.mark.parametrize("command", [["evaluate", "--builtin", "bell"], ["beta-sweep"]])
+def test_non_positive_or_non_finite_tolerance_is_a_usage_error(capsys, command, tol):
+    code, out, err = run(capsys, *command, "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "tolerance" in err
+
+
 def test_beta_sweep_json(capsys):
     code, out, _ = run(capsys, "beta-sweep", "--format", "json")
     assert code == 0

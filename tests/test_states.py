@@ -435,6 +435,63 @@ def test_real_only_state_file():
         assert np.array_equal(state_from_dict(state).matrix, np.eye(2) / 2)
 
 
+def test_real_states_are_stored_real():
+    chess = chessboard_state()
+    real = [
+        chess,
+        bell_state(),
+        tensor_product(chess, chess),
+        mix_with_noise(bell_state(), 0.3),
+        maximally_mixed(3, 2),
+        state_from_dict({"d": 2, "r": 1, "re": [[0.5, 0], [0, 0.5]]}),
+        state_from_dict(state_to_dict(chess)),
+        density_matrix(np.eye(4, dtype=complex) / 4, 2, 2),
+    ]
+    for rho in real:
+        assert rho.matrix.dtype == np.float64
+    assert random_state(2, 2, np.random.default_rng(61)).matrix.dtype == np.complex128
+
+
+def test_real_states_write_a_zero_imaginary_part():
+    data = state_to_dict(chessboard_state())
+    assert np.array_equal(data["im"], np.zeros((9, 9)))
+    assert np.array_equal(data["re"], chessboard_state().matrix)
+
+
+@pytest.mark.parametrize("make", [
+    chessboard_state,
+    lambda: mix_with_noise(tensor_product(chessboard_state(), chessboard_state()), 0.1),
+])
+def test_real_class_norms_match_the_complex_path(make):
+    rho = make()
+    assert rho.matrix.dtype == np.float64
+    as_complex = rho.matrix.astype(complex)
+    for cls, norm in class_norms(rho):
+        image = apply_criterion(as_complex, to_permutation(cls), rho.dim)
+        assert image.dtype == np.complex128
+        assert abs(norm - trace_norm(image)) <= 1e-12
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_density_matrix_keeps_a_private_copy(dtype):
+    raw = np.eye(4, dtype=dtype) / 4
+    if dtype is complex:
+        raw[0, 1], raw[1, 0] = 0.1j, -0.1j
+    rho = density_matrix(raw, 2, 2)
+    kept = rho.matrix.copy()
+    assert raw.flags.writeable
+    raw[2, 2] = 9.0
+    assert np.array_equal(rho.matrix, kept)
+    assert not rho.matrix.flags.writeable
+
+
+def test_finiteness_names_a_complex_entry():
+    bad = np.eye(2, dtype=complex) / 2
+    bad[0, 1] = complex(0, np.nan)
+    with pytest.raises(ValueError, match=r"finiteness: entry \(0, 1\) is nanj"):
+        density_matrix(bad, 2, 1)
+
+
 def test_density_matrices_are_frozen():
     rho = bell_state()
     with pytest.raises(ValueError):

@@ -5,11 +5,15 @@ import json
 import numpy as np
 import pytest
 
+from permsep import verify
+from permsep.criteria import enumerate_classes, to_permutation
 from permsep.states import (
+    apply_criterion,
     chessboard_state,
     maximally_mixed,
     mix_with_noise,
     tensor_product,
+    trace_norm,
 )
 from permsep.verify import (
     VerificationConfig,
@@ -194,3 +198,78 @@ def test_two_copy_chessboard_stays_ppt_under_noise():
 def test_beta_sweep_validates_steps():
     with pytest.raises(ValueError):
         beta_sweep(steps=5)
+
+
+def _sweep_family():
+    # (low, high) images of rho_c (x) rho_c and I/81 for every class at r = 4
+    base = tensor_product(chessboard_state(), chessboard_state()).matrix
+    noise = maximally_mixed(3, 4).matrix
+    for cls in enumerate_classes(4):
+        sigma = to_permutation(cls)
+        yield apply_criterion(base, sigma, 3), apply_criterion(noise, sigma, 3)
+
+
+def _violated(low, high, beta, tolerance=1e-9):
+    return trace_norm((1 - beta) * low + beta * high) > 1 + tolerance
+
+
+def _grid_scan_threshold(low, high, steps=12, bisect_iters=40):
+    """The sweep as first written: a coarse grid scan for the last violating
+    grid point, then bisection between it and the next one."""
+    grid = np.linspace(0.0, 1.0, steps)
+    hits = [i for i, beta in enumerate(grid) if _violated(low, high, beta)]
+    if not hits:
+        return 0.0
+    if hits[-1] == len(grid) - 1:
+        return 1.0
+    lo, hi = grid[hits[-1]], grid[hits[-1] + 1]
+    for _ in range(bisect_iters):
+        mid = 0.5 * (lo + hi)
+        if _violated(low, high, mid):
+            lo = mid
+        else:
+            hi = mid
+    return float(lo)
+
+
+def test_beta_sweep_matches_the_grid_scan():
+    report = beta_sweep(steps=12, tolerance=1e-9)
+    family = list(_sweep_family())
+    assert len(report.class_thresholds) == len(family) == 23
+    fired = 0
+    for (_, _, beta), (low, high) in zip(report.class_thresholds, family):
+        assert abs(beta - _grid_scan_threshold(low, high)) <= 1e-12
+        if beta > 0:
+            fired += 1
+            assert _violated(low, high, beta)
+            assert not _violated(low, high, beta + 1e-12)
+    assert fired == 6
+
+
+def test_beta_sweep_needs_one_svd_per_silent_class(monkeypatch):
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix.dtype)
+        return trace_norm(matrix)
+
+    monkeypatch.setattr(verify, "trace_norm", counting)
+    beta_sweep()
+    # beta = 0 for all 23 classes, then beta = 1 and 44 bisection steps
+    # for each of the 6 that fire
+    assert len(calls) == 23 + 6 * 45
+    assert set(calls) == {np.dtype(np.float64)}
+
+
+def test_beta_sweep_ignores_steps():
+    assert beta_sweep(steps=10).class_thresholds == beta_sweep(steps=40).class_thresholds
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, 0.0, float("nan"), float("inf")])
+def test_tolerance_must_be_positive_and_finite(tolerance):
+    with pytest.raises(ValueError, match="tolerance"):
+        beta_sweep(tolerance=tolerance)
+    with pytest.raises(ValueError, match="tolerance"):
+        evaluate_state(chessboard_state(), tolerance=tolerance)
+    with pytest.raises(ValueError, match="tolerance"):
+        config(tolerance=tolerance)
