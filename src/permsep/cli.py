@@ -106,11 +106,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    try:
-        info = census(args.parties, with_oracle=args.oracle)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    info = census(args.parties, with_oracle=args.oracle)
     print(f"r={info['r']}: formula={info['formula']} enumerated={info['enumerated']}"
           + (f" oracle={info['oracle']}" if args.oracle else ""))
     agree = info["formula"] == info["enumerated"] and (
@@ -149,12 +145,8 @@ def _cmd_evaluate(args) -> int:
         except ValueError:
             print(f"error: bad --classes list {args.classes!r}", file=sys.stderr)
             return USAGE_ERROR
-    try:
-        report = evaluate_state(rho, tolerance=args.tol, source=source,
-                                class_ids=class_ids)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    report = evaluate_state(rho, tolerance=args.tol, source=source,
+                            class_ids=class_ids)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
         return 0
@@ -180,18 +172,14 @@ def _cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return USAGE_ERROR
-    try:
-        config = VerificationConfig(
-            parties=args.parties,
-            dim=args.dim,
-            samples=args.samples,
-            seed=args.seed,
-            equality_threshold=args.tol,
-            distinctness_threshold=args.gap,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    config = VerificationConfig(
+        parties=args.parties,
+        dim=args.dim,
+        samples=args.samples,
+        seed=args.seed,
+        equality_threshold=args.tol,
+        distinctness_threshold=args.gap,
+    )
     if args.suite == "rule5":
         report = verify_rule5(config)
         if args.format == "json":
@@ -223,11 +211,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_beta_sweep(args) -> int:
-    try:
-        report = beta_sweep(steps=args.steps, tolerance=args.tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    report = beta_sweep(steps=args.steps, tolerance=args.tol)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
         return 0

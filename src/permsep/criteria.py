@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 from .perms import Permutation, dependent, from_transpositions
 
-RMAX_DEFAULT = 8
+MAX_PARTIES = 8
 
 
 class Role(enum.IntEnum):
@@ -123,6 +123,12 @@ def arrows_and_loops(
     return list(zip(heads, tails)), loops
 
 
+def _roles_of(roles_or_class: Sequence[Role] | CriterionClass) -> RoleWord:
+    if isinstance(roles_or_class, CriterionClass):
+        return roles_or_class.roles
+    return validate_roles(roles_or_class)
+
+
 def to_permutation(roles_or_class: Sequence[Role] | CriterionClass) -> Permutation:
     """Representative permutation of a role word: each arrow head->tail
     contributes the transposition (2*head, 2*tail - 1), each loop on m the
@@ -133,11 +139,7 @@ def to_permutation(roles_or_class: Sequence[Role] | CriterionClass) -> Permutati
     >>> to_permutation(roles_from_string("FL")).images
     (1, 2, 4, 3)
     """
-    roles = (
-        roles_or_class.roles
-        if isinstance(roles_or_class, CriterionClass)
-        else validate_roles(roles_or_class)
-    )
+    roles = _roles_of(roles_or_class)
     arrows, loops = arrows_and_loops(roles)
     pairs = [(2 * h, 2 * t - 1) for h, t in arrows]
     pairs += [(2 * m - 1, 2 * m) for m in loops]
@@ -168,12 +170,7 @@ def label_for(roles: RoleWord) -> str:
 
 def describe(roles_or_class: Sequence[Role] | CriterionClass) -> str:
     """Per-arrow detail, e.g. 'R[1->2] R'[4->3] QT[5]'; 'identity' if empty."""
-    roles = (
-        roles_or_class.roles
-        if isinstance(roles_or_class, CriterionClass)
-        else validate_roles(roles_or_class)
-    )
-    arrows, loops = arrows_and_loops(roles)
+    arrows, loops = arrows_and_loops(_roles_of(roles_or_class))
     parts = [
         ("R" if h < t else "R'") + f"[{h}->{t}]" for h, t in arrows
     ]
@@ -198,42 +195,38 @@ def count_classes(parties: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def enumerate_classes(parties: int, rmax: int = RMAX_DEFAULT) -> tuple[CriterionClass, ...]:
+def enumerate_classes(parties: int) -> tuple[CriterionClass, ...]:
     """Every criterion class exactly once, ordered by canonical role word.
 
     Generates the C(2r, r) balanced role words, canonicalizes, and
     deduplicates; class ids are positions in the sorted order, so the
     all-Free (trivial) class is always id 0.
     """
-    if not 1 <= parties <= rmax:
-        raise ValueError(f"parties must be in 1..{rmax}, got {parties}")
-    seen = set()
-    for word in itertools.product(tuple(Role), repeat=parties):
-        if sum(x == Role.HEAD for x in word) != sum(x == Role.TAIL for x in word):
-            continue
-        seen.add(canonical_roles(word))
+    if not 1 <= parties <= MAX_PARTIES:
+        raise ValueError(f"parties must be in 1..{MAX_PARTIES}, got {parties}")
+    seen = {canonical_roles(word) for word in balanced_role_words(parties)}
     return tuple(
         CriterionClass(roles=roles, class_id=i, label=label_for(roles))
         for i, roles in enumerate(sorted(seen))
     )
 
 
-def canonicalize(roles: Sequence[Role], rmax: int = RMAX_DEFAULT) -> CriterionClass:
+def canonicalize(roles: Sequence[Role]) -> CriterionClass:
     """The class of a role word: canonical form plus its enumeration id."""
     canon = canonical_roles(roles)
-    for cls in enumerate_classes(len(canon), rmax):
+    for cls in enumerate_classes(len(canon)):
         if cls.roles == canon:
             return cls
     raise AssertionError(f"canonical form {canon} missing from enumeration")
 
 
-def class_of(sigma: Permutation, rmax: int = RMAX_DEFAULT) -> CriterionClass:
+def class_of(sigma: Permutation) -> CriterionClass:
     """The unique class whose representative is dependent with ``sigma``.
 
     Existence is guaranteed by the coset classification, so a miss is an
     internal error, not bad input.
     """
-    for cls in enumerate_classes(sigma.parties, rmax):
+    for cls in enumerate_classes(sigma.parties):
         if dependent(sigma, to_permutation(cls)):
             return cls
     raise AssertionError(
@@ -261,5 +254,5 @@ def classes_by_label(parties: int) -> dict[str, list[CriterionClass]]:
 def balanced_role_words(parties: int) -> Iterable[RoleWord]:
     """All role words with equally many heads and tails (C(2r, r) of them)."""
     for word in itertools.product(tuple(Role), repeat=parties):
-        if sum(x == Role.HEAD for x in word) == sum(x == Role.TAIL for x in word):
+        if word.count(Role.HEAD) == word.count(Role.TAIL):
             yield word

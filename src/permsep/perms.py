@@ -13,7 +13,6 @@ and the induced entry maps satisfy ``L_b(L_a(M)) == L_compose(a,b)(M)``
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -241,12 +240,6 @@ def dependent(sigma: Permutation, mu: Permutation) -> bool:
         return True
     tau = global_transpose(sigma.parties)
     return is_norm_preserving(compose(inv, compose(tau, mu)))
-
-
-def all_permutations(parties: int) -> Iterable[Permutation]:
-    """Iterate S_{2r} in lexicographic word order ((2r)! elements)."""
-    for images in itertools.permutations(range(1, 2 * parties + 1)):
-        yield Permutation(images)
 
 
 def to_json(p: Permutation) -> list[int]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import functools
 import json
 import numbers
 import threading
@@ -91,15 +90,11 @@ def density_matrix(matrix: np.ndarray, dim: int, parties: int) -> DensityMatrix:
     return DensityMatrix(matrix=matrix, dim=dim, parties=parties)
 
 
-def _slot_axes(parties: int) -> list[int]:
-    # reshaped tensor axes are (rows of parties 1..r, cols of parties 1..r);
-    # this axes list regroups them into slot order i_1, i_2, ..., i_2r
-    return [k // 2 if k % 2 == 0 else parties + (k - 1) // 2 for k in range(2 * parties)]
-
-
 def apply_criterion(matrix: np.ndarray, sigma: Permutation, dim: int) -> np.ndarray:
     """Entry map of a slot permutation: B[i_1..i_2r] = A[i_sigma(1)..i_sigma(2r)].
 
+    One transpose of the reshaped tensor, whose axis k // 2 + r * (k % 2)
+    holds 0-based slot k: B's axis for slot sigma(k) is A's for slot k.
     The identity returns the input unchanged and the global transpose returns
     the matrix transpose; every image has the same entry multiset as A.
     """
@@ -110,10 +105,11 @@ def apply_criterion(matrix: np.ndarray, sigma: Permutation, dim: int) -> np.ndar
         raise ValueError(
             f"matrix is {matrix.shape}, expected {n}x{n} for d={dim}, r={r}"
         )
-    axes = _slot_axes(r)
+    axes = [0] * (2 * r)
+    for k, image in enumerate(sigma.images):
+        axes[(image - 1) // 2 + r * ((image - 1) % 2)] = k // 2 + r * (k % 2)
     tensor = matrix.reshape((dim,) * (2 * r)).transpose(axes)
-    tensor = tensor.transpose(np.argsort([s - 1 for s in sigma.images]))
-    return np.ascontiguousarray(tensor.transpose(np.argsort(axes)).reshape(n, n))
+    return np.ascontiguousarray(tensor.reshape(n, n))
 
 
 class _OneBlasThread:
@@ -144,22 +140,9 @@ class _OneBlasThread:
                 self._set(self._saved)
 
 
-_PROBE_LOCK = threading.Lock()
-
-
-def _one_blas_thread() -> _OneBlasThread | None:
-    """The thread limit for the OpenBLAS numpy loaded, or None where there
-    is none to find (no /proc, MKL, Accelerate).
-
-    The probe runs once, on first use; the lock makes concurrent first
-    callers share one limit, which the depth count in it relies on.
-    """
-    with _PROBE_LOCK:
-        return _probe_openblas()
-
-
-@functools.cache
 def _probe_openblas() -> _OneBlasThread | None:
+    """The thread limit for the OpenBLAS numpy loaded, or None where there
+    is none to find (no /proc, MKL, Accelerate)."""
     try:
         with open("/proc/self/maps") as fh:
             fields = [line.split(maxsplit=5) for line in fh]
@@ -184,6 +167,10 @@ def _probe_openblas() -> _OneBlasThread | None:
     return None
 
 
+# probed once, at import, so every caller shares one limit and its depth count
+_ONE_BLAS_THREAD = _probe_openblas()
+
+
 def trace_norm(matrix: np.ndarray) -> float:
     """Sum of singular values.
 
@@ -193,7 +180,7 @@ def trace_norm(matrix: np.ndarray) -> float:
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"trace norm needs a square matrix, got {matrix.shape}")
-    limit = _one_blas_thread() if matrix.shape[0] <= SINGLE_THREAD_SVD_MAX_N else None
+    limit = _ONE_BLAS_THREAD if matrix.shape[0] <= SINGLE_THREAD_SVD_MAX_N else None
     with limit or contextlib.nullcontext():
         return float(np.linalg.svd(matrix, compute_uv=False).sum())
 
@@ -333,7 +320,7 @@ def reorder_parties(rho: DensityMatrix, order: list[int]) -> DensityMatrix:
 BUILTIN_STATES = {"chessboard": chessboard_state, "bell": bell_state}
 
 
-def state_from_dict(data: dict) -> DensityMatrix:
+def state_from_dict(data: object) -> DensityMatrix:
     """Parse the state wire format.
 
     Either {"builtin": "chessboard" | "bell"} or an explicit matrix
@@ -341,8 +328,12 @@ def state_from_dict(data: dict) -> DensityMatrix:
     d^r x d^r arrays; "im" may be missing or null for a real matrix.
     Validation failures name the violated invariant or key.
     """
+    if not isinstance(data, dict):
+        raise ValueError(f"state must be a JSON object, got {type(data).__name__}")
     if "builtin" in data:
         name = data["builtin"]
+        if not isinstance(name, str):
+            raise ValueError(f"key 'builtin' must be a string, got {name!r}")
         if name not in BUILTIN_STATES:
             raise ValueError(
                 f"unknown builtin {name!r}; have {sorted(BUILTIN_STATES)}"

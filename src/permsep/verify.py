@@ -15,6 +15,7 @@ import numpy as np
 from .criteria import (
     CriterionClass,
     classes_by_label,
+    count_classes,
     enumerate_classes,
     roles_to_string,
     to_permutation,
@@ -31,6 +32,7 @@ from .states import (
 )
 
 LARGE_PARTIES = 7  # randomized suites above this need an explicit opt-in
+BISECT_ITERS = 44  # beta-sweep thresholds are located to 2^-BISECT_ITERS
 
 
 def _check_positive_finite(name: str, value: float) -> None:
@@ -46,14 +48,13 @@ class VerificationConfig:
     dim: int
     samples: int
     seed: int
-    tolerance: float = 1e-10
     equality_threshold: float = 1e-10
     distinctness_threshold: float = 1e-6
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
-        for name in ("tolerance", "equality_threshold", "distinctness_threshold"):
+        for name in ("equality_threshold", "distinctness_threshold"):
             _check_positive_finite(name, getattr(self, name))
 
 
@@ -263,7 +264,8 @@ def verify_distinctness(
 
     Coinciding norms on a special state (a measure-zero event for generic
     input) are reported as warnings, not failures; passing `state` replaces
-    the random draw, e.g. to demonstrate such a coincidence.
+    the random draw, e.g. to demonstrate such a coincidence.  Needs at
+    least two classes, so r = 1 is rejected.
     """
     rng = np.random.default_rng(config.seed)
     min_gap = np.inf
@@ -276,6 +278,8 @@ def verify_distinctness(
             config.dim, config.parties, rng
         )
         norms = class_norms(rho)
+        if len(norms) < 2:
+            raise ValueError("distinctness needs at least two classes; r=1 has one")
         order = sorted(range(len(norms)), key=lambda i: norms[i][1])
         sample_gap = np.inf
         sample_pair = (0, 0)
@@ -327,9 +331,7 @@ class BetaSweepReport:
         }
 
 
-def beta_sweep(
-    steps: int = 12, tolerance: float = 1e-9, bisect_iters: int = 44
-) -> BetaSweepReport:
+def beta_sweep(steps: int = 12, tolerance: float = 1e-9) -> BetaSweepReport:
     """Detection thresholds on the two-copy chessboard family.
 
     The family is (1 - beta) * rho_c (x) rho_c + beta * I/81 on four
@@ -338,7 +340,7 @@ def beta_sweep(
     at most 1 at beta = 1 (I/81 is separable), so the violating betas form
     an interval [0, beta*): one SVD at beta = 0 settles a class that never
     fires (threshold 0), and bisection on [0, 1] locates beta* for the
-    rest, to 2^-bisect_iters.  Classes built only from partial transposes
+    rest, to 2^-BISECT_ITERS.  Classes built only from partial transposes
     never fire: the chessboard state is PPT and tensor products and noise
     keep it so.  ``steps`` is validated and reported but, since the
     interval makes a grid scan redundant, no longer changes a threshold.
@@ -364,7 +366,7 @@ def beta_sweep(
             beta_star = 1.0
         else:
             lo, hi = 0.0, 1.0
-            for _ in range(bisect_iters):
+            for _ in range(BISECT_ITERS):
                 mid = 0.5 * (lo + hi)
                 if violated(mid):
                     lo = mid
@@ -379,8 +381,6 @@ def beta_sweep(
 
 def census(parties: int, with_oracle: bool = False) -> dict:
     """Class-count cross-check: formula vs enumeration (vs brute force)."""
-    from .criteria import count_classes
-
     classes = enumerate_classes(parties)
     rows = {label: len(cs) for label, cs in classes_by_label(parties).items()}
     out = {

@@ -73,10 +73,18 @@ def test_evaluate_state_file(tmp_path, capsys):
 
 def test_evaluate_rejects_invalid_state(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"d": 2, "r": 1, "re": [[1.0, 0.0], [0.0, 1.0]]}))
-    code, _, err = run(capsys, "evaluate", "--state", str(path))
-    assert code == 2
-    assert "trace" in err
+    cases = [
+        ({"d": 2, "r": 1, "re": [[1.0, 0.0], [0.0, 1.0]]}, "trace"),
+        (5, "state must be a JSON object, got int"),
+        (None, "state must be a JSON object, got NoneType"),
+        ("builtin", "state must be a JSON object, got str"),
+        ({"builtin": ["x"]}, "key 'builtin' must be a string, got ['x']"),
+    ]
+    for data, message in cases:
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "evaluate", "--state", str(path))
+        assert code == 2
+        assert message in err
 
 
 def test_evaluate_rejects_non_finite_entry(tmp_path, capsys):
@@ -159,6 +167,22 @@ def test_verify_distinctness(capsys):
     assert "all distinct" in out
 
 
+def test_verify_distinctness_needs_two_classes(capsys):
+    code, out, err = run(
+        capsys, "verify", "distinctness", "--parties", "1", "--format", "json"
+    )
+    assert code == 2
+    assert out == ""
+    assert "at least two classes" in err
+
+
+def test_verify_rejects_zero_samples(capsys):
+    code, out, err = run(capsys, "verify", "rule5", "--parties", "3", "--samples", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: samples must be >= 1, got 0\n"
+
+
 def test_verify_large_r_needs_flag(capsys):
     code, _, err = run(
         capsys, "verify", "distinctness", "--parties", "7", "--samples", "1",
@@ -193,12 +217,17 @@ def test_beta_sweep_rejects_bad_steps(capsys):
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
-@pytest.mark.parametrize("command", [["evaluate", "--builtin", "bell"], ["beta-sweep"]])
+@pytest.mark.parametrize("command", [
+    ["evaluate", "--builtin", "bell"],
+    ["beta-sweep"],
+    ["verify", "rule5", "--parties", "2"],
+])
 def test_non_positive_or_non_finite_tolerance_is_a_usage_error(capsys, command, tol):
     code, out, err = run(capsys, *command, "--tol", tol)
     assert code == 2
     assert out == ""
-    assert "tolerance" in err
+    # verify's --tol sets the rule-5 equality threshold
+    assert ("equality_threshold" if command[0] == "verify" else "tolerance") in err
 
 
 def test_beta_sweep_json(capsys):

@@ -86,6 +86,16 @@ def test_canonicalize_returns_class_with_id():
     assert enumerate_classes(3)[cls.class_id] == cls
 
 
+def test_class_lookups_share_one_enumeration():
+    # class_of and canonicalize must reuse the cached enumeration, not
+    # build a second one under another cache key
+    enumerate_classes.cache_clear()
+    classes = enumerate_classes(5)
+    assert class_of(to_permutation(classes[40])) == classes[40]
+    assert canonicalize(classes[40].roles) == classes[40]
+    assert enumerate_classes.cache_info().misses == 1
+
+
 # --- enumeration and counting ---------------------------------------------------
 
 def test_count_formula_small_values():

@@ -46,7 +46,7 @@ PT_2 = Permutation((1, 2, 4, 3))
 
 # --- entry map -----------------------------------------------------------------
 
-@pytest.mark.parametrize("d,r", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("d,r", [(2, 2), (3, 2), (2, 3), (2, 4)])
 def test_apply_matches_reference_oracle(d, r):
     rng = np.random.default_rng(101)
     for _ in range(15):
@@ -55,6 +55,10 @@ def test_apply_matches_reference_oracle(d, r):
         fast = apply_criterion(a, sigma, d)
         slow = apply_reference(a, sigma.images, d)
         assert np.array_equal(fast, slow)
+        # real states are stored as float64, and their images must stay real
+        fast = apply_criterion(a.real, sigma, d)
+        assert fast.dtype == np.float64
+        assert np.array_equal(fast, slow.real)
 
 
 def test_apply_identity_and_transpose():
@@ -157,7 +161,7 @@ def _realigned_random_state(d, r, seed):
 def blas_limit():
     """The OpenBLAS thread limit, with the caller's count set to 2 so that a
     missed restore (which would leave 1) shows; the original is put back."""
-    limit = states._one_blas_thread()
+    limit = states._ONE_BLAS_THREAD
     if limit is None:
         pytest.skip("numpy's BLAS exposes no OpenBLAS thread control here")
     original = limit.get()
@@ -194,7 +198,7 @@ def test_trace_norm_limits_small_svds_and_restores_thread_count(blas_limit, monk
 
 
 def test_trace_norm_without_thread_control_is_the_plain_svd(monkeypatch):
-    monkeypatch.setattr(states, "_one_blas_thread", lambda: None)
+    monkeypatch.setattr(states, "_ONE_BLAS_THREAD", None)
     for d, r in [(2, 2), (2, 6), (3, 5)]:
         image = _realigned_random_state(d, r, 67)
         assert trace_norm(image) == float(np.linalg.svd(image, compute_uv=False).sum())

@@ -39,7 +39,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         config(samples=0)
     with pytest.raises(ValueError):
-        config(tolerance=0)
+        config(equality_threshold=0)
     with pytest.raises(ValueError):
         config(distinctness_threshold=-1)
 
@@ -271,5 +271,5 @@ def test_tolerance_must_be_positive_and_finite(tolerance):
         beta_sweep(tolerance=tolerance)
     with pytest.raises(ValueError, match="tolerance"):
         evaluate_state(chessboard_state(), tolerance=tolerance)
-    with pytest.raises(ValueError, match="tolerance"):
-        config(tolerance=tolerance)
+    with pytest.raises(ValueError, match="equality_threshold"):
+        config(equality_threshold=tolerance)
