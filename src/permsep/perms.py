@@ -14,7 +14,7 @@ and the induced entry maps satisfy ``L_b(L_a(M)) == L_compose(a,b)(M)``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,6 @@ class Permutation:
     @property
     def parties(self) -> int:
         return len(self.images) // 2
-
-    @property
-    def slots(self) -> int:
-        return len(self.images)
 
     def __call__(self, slot: int) -> int:
         """Image of a 1-based slot.
@@ -240,13 +236,3 @@ def dependent(sigma: Permutation, mu: Permutation) -> bool:
         return True
     tau = global_transpose(sigma.parties)
     return is_norm_preserving(compose(inv, compose(tau, mu)))
-
-
-def to_json(p: Permutation) -> list[int]:
-    """One-line word notation as a plain list, the wire format."""
-    return list(p.images)
-
-
-def from_json(data: Sequence[int]) -> Permutation:
-    """Parse the wire format produced by :func:`to_json`."""
-    return Permutation(tuple(int(v) for v in data))

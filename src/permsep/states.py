@@ -320,6 +320,13 @@ def reorder_parties(rho: DensityMatrix, order: list[int]) -> DensityMatrix:
 BUILTIN_STATES = {"chessboard": chessboard_state, "bell": bell_state}
 
 
+def _float_array(data: dict, key: str) -> np.ndarray:
+    try:
+        return np.asarray(data[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"key {key!r} must be an array of numbers: {exc}") from None
+
+
 def state_from_dict(data: object) -> DensityMatrix:
     """Parse the state wire format.
 
@@ -346,9 +353,8 @@ def state_from_dict(data: object) -> DensityMatrix:
         if not isinstance(data[key], numbers.Integral) or isinstance(data[key], bool):
             raise ValueError(f"key {key!r} must be an integer, got {data[key]!r}")
     dim, parties = int(data["d"]), int(data["r"])
-    re = np.asarray(data["re"], dtype=float)
-    im = data.get("im")
-    im = np.zeros_like(re) if im is None else np.asarray(im, dtype=float)
+    re = _float_array(data, "re")
+    im = np.zeros_like(re) if data.get("im") is None else _float_array(data, "im")
     if re.shape != im.shape:
         raise ValueError(f"re/im shapes differ: {re.shape} vs {im.shape}")
     return density_matrix(re + 1j * im, dim, parties)

@@ -257,50 +257,37 @@ class DistinctnessReport:
         }
 
 
-def verify_distinctness(
-    config: VerificationConfig, state: DensityMatrix | None = None
-) -> DistinctnessReport:
+def verify_distinctness(config: VerificationConfig) -> DistinctnessReport:
     """Check that all class norms are pairwise distinct on random states.
 
-    Coinciding norms on a special state (a measure-zero event for generic
-    input) are reported as warnings, not failures; passing `state` replaces
-    the random draw, e.g. to demonstrate such a coincidence.  Needs at
-    least two classes, so r = 1 is rejected.
+    A sample's closest pair is the first smallest gap between neighbours
+    in stable norm order, and the report keeps the first sample's on a tie.
+    A gap within the threshold (measure zero for generic input) is a
+    warning, not a failure.  r = 1 has one class and is rejected up front.
     """
+    classes = enumerate_classes(config.parties)
+    if len(classes) < 2:
+        raise ValueError("distinctness needs at least two classes; r=1 has one")
     rng = np.random.default_rng(config.seed)
-    min_gap = np.inf
-    closest = (0, 0)
-    gaps = []
-    warnings = []
-    samples = 1 if state is not None else config.samples
-    for sample in range(samples):
-        rho = state if state is not None else random_state(
-            config.dim, config.parties, rng
-        )
-        norms = class_norms(rho)
-        if len(norms) < 2:
-            raise ValueError("distinctness needs at least two classes; r=1 has one")
-        order = sorted(range(len(norms)), key=lambda i: norms[i][1])
-        sample_gap = np.inf
-        sample_pair = (0, 0)
-        for lo, hi in zip(order, order[1:]):
-            gap = norms[hi][1] - norms[lo][1]
-            if gap < sample_gap:
-                sample_gap = gap
-                sample_pair = (norms[lo][0].class_id, norms[hi][0].class_id)
-        gaps.append(sample_gap)
-        if sample_gap < min_gap:
-            min_gap = sample_gap
-            closest = sample_pair
-        if sample_gap <= config.distinctness_threshold:
+    gaps, pairs, warnings = [], [], []
+    for sample in range(config.samples):
+        rho = random_state(config.dim, config.parties, rng)
+        norms = np.array([norm for _, norm in class_norms(rho, classes)])
+        order = np.argsort(norms, kind="stable")
+        k = int(np.argmin(np.diff(norms[order])))
+        gap = float(norms[order[k + 1]] - norms[order[k]])
+        pair = (classes[order[k]].class_id, classes[order[k + 1]].class_id)
+        gaps.append(gap)
+        pairs.append(pair)
+        if gap <= config.distinctness_threshold:
             warnings.append(
-                f"sample {sample}: classes {sample_pair[0]} and {sample_pair[1]} "
-                f"within {sample_gap:.3e}"
+                f"sample {sample}: classes {pair[0]} and {pair[1]} within {gap:.3e}"
             )
+    first = int(np.argmin(gaps))
     return DistinctnessReport(
         config=config,
-        min_gap=float(min_gap),
-        closest_pair=closest,
+        min_gap=gaps[first],
+        closest_pair=pairs[first],
         sample_gaps=tuple(gaps),
         warnings=tuple(warnings),
     )
@@ -337,43 +324,35 @@ def beta_sweep(steps: int = 12, tolerance: float = 1e-9) -> BetaSweepReport:
     The family is (1 - beta) * rho_c (x) rho_c + beta * I/81 on four
     qutrits; for each criterion class the threshold is the largest beta in
     [0, 1] still violating the criterion.  The norm is convex in beta and
-    at most 1 at beta = 1 (I/81 is separable), so the violating betas form
-    an interval [0, beta*): one SVD at beta = 0 settles a class that never
-    fires (threshold 0), and bisection on [0, 1] locates beta* for the
-    rest, to 2^-BISECT_ITERS.  Classes built only from partial transposes
-    never fire: the chessboard state is PPT and tensor products and noise
-    keep it so.  ``steps`` is validated and reported but, since the
-    interval makes a grid scan redundant, no longer changes a threshold.
+    d^-#arrows <= 1 at beta = 1, so the violating betas form an interval
+    [0, beta*).  One bisection loop finds beta* to 2^-BISECT_ITERS in the
+    bracket [0, 1] if the class fires at beta = 0, else in [0, 0] (one
+    SVD, threshold 0).  Partial-transpose classes never fire: the PPT
+    chessboard stays PPT under tensor products and noise.  ``steps`` is
+    validated and reported but no longer changes a threshold.
     """
     if steps < 10:
         raise ValueError(f"steps must be >= 10, got {steps}")
     _check_positive_finite("tolerance", tolerance)
     base = tensor_product(chessboard_state(), chessboard_state())
-    noise = maximally_mixed(3, 4)
-    classes = enumerate_classes(4)
+    noise = maximally_mixed(base.dim, base.parties)
     thresholds = []
-    for cls in classes:
+    for cls in enumerate_classes(base.parties):
         sigma = to_permutation(cls)
-        low = apply_criterion(base.matrix, sigma, 3)
-        high = apply_criterion(noise.matrix, sigma, 3)
+        low = apply_criterion(base.matrix, sigma, base.dim)
+        high = apply_criterion(noise.matrix, sigma, base.dim)
 
         def violated(beta: float) -> bool:
             return trace_norm((1 - beta) * low + beta * high) > 1 + tolerance
 
-        if not violated(0.0):
-            beta_star = 0.0
-        elif violated(1.0):
-            beta_star = 1.0
-        else:
-            lo, hi = 0.0, 1.0
-            for _ in range(BISECT_ITERS):
-                mid = 0.5 * (lo + hi)
-                if violated(mid):
-                    lo = mid
-                else:
-                    hi = mid
-            beta_star = lo
-        thresholds.append((cls.class_id, cls.label, beta_star))
+        lo, hi = 0.0, 1.0 if violated(0.0) else 0.0
+        while hi - lo > 2.0**-BISECT_ITERS:
+            mid = 0.5 * (lo + hi)
+            if violated(mid):
+                lo = mid
+            else:
+                hi = mid
+        thresholds.append((cls.class_id, cls.label, lo))
     return BetaSweepReport(
         steps=steps, tolerance=tolerance, class_thresholds=tuple(thresholds)
     )

@@ -79,6 +79,9 @@ def test_evaluate_rejects_invalid_state(tmp_path, capsys):
         (None, "state must be a JSON object, got NoneType"),
         ("builtin", "state must be a JSON object, got str"),
         ({"builtin": ["x"]}, "key 'builtin' must be a string, got ['x']"),
+        ({"d": 2, "r": 1, "re": {"a": 1}}, "key 're' must be an array of numbers"),
+        ({"d": 2, "r": 1, "re": [[0.5, 0], [0, 0.5]], "im": {"a": 1}},
+         "key 'im' must be an array of numbers"),
     ]
     for data, message in cases:
         path.write_text(json.dumps(data))

@@ -290,11 +290,3 @@ def test_dependent_matches_norm_equality_on_states():
         for b in words:
             if dependent(a, b):
                 assert abs(norms[a.images] - norms[b.images]) < 1e-10
-
-
-def test_json_round_trip():
-    from permsep.perms import from_json, to_json
-
-    p = perm(1, 3, 2, 4)
-    assert to_json(p) == [1, 3, 2, 4]
-    assert from_json([1, 3, 2, 4]) == p

@@ -1,17 +1,19 @@
 """Harness: brute-force oracle, verification suites, evaluation reports."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from permsep import verify
-from permsep.criteria import enumerate_classes, to_permutation
+from permsep.criteria import arrows_and_loops, enumerate_classes, to_permutation
 from permsep.states import (
     apply_criterion,
     chessboard_state,
     maximally_mixed,
     mix_with_noise,
+    random_state,
     tensor_product,
     trace_norm,
 )
@@ -101,14 +103,32 @@ def test_distinctness_r5_all_71_norms_distinct():
     assert len(report.sample_gaps) == 1
 
 
-def test_distinctness_flags_chessboard_coincidence():
+def test_distinctness_warns_on_every_sample_within_threshold():
+    # a threshold above every gap makes each sample warn; replay the same
+    # draws and find each sample's closest pair over all pairs of classes
+    cfg = config(parties=3, dim=2, samples=3, seed=5, distinctness_threshold=10.0)
+    report = verify_distinctness(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    expected = []
+    for _ in range(cfg.samples):
+        norms = class_norms(random_state(cfg.dim, cfg.parties, rng))
+        expected.append(min(
+            (b[1] - a[1], (a[0].class_id, b[0].class_id))
+            for a, b in itertools.permutations(norms, 2)
+            if b[1] >= a[1]
+        ))
+    assert not report.all_distinct
+    assert report.sample_gaps == tuple(gap for gap, _ in expected)
+    assert report.warnings == tuple(
+        f"sample {i}: classes {a} and {b} within {gap:.3e}"
+        for i, (gap, (a, b)) in enumerate(expected)
+    )
+    assert (report.min_gap, report.closest_pair) == min(expected)
+
+
+def test_chessboard_norms_coincide():
     # on the chessboard state the trivial class and the partial transpose
     # both sit at norm 1, a coincidence a generic state does not show
-    cfg = config(parties=2, dim=3, samples=1, seed=0)
-    report = verify_distinctness(cfg, state=chessboard_state())
-    assert not report.all_distinct
-    assert report.min_gap < 1e-9
-    assert set(report.closest_pair) == {0, 1}
     norms = dict(
         (cls.label, value) for cls, value in class_norms(chessboard_state())
     )
@@ -255,10 +275,40 @@ def test_beta_sweep_needs_one_svd_per_silent_class(monkeypatch):
 
     monkeypatch.setattr(verify, "trace_norm", counting)
     beta_sweep()
-    # beta = 0 for all 23 classes, then beta = 1 and 44 bisection steps
-    # for each of the 6 that fire
-    assert len(calls) == 23 + 6 * 45
+    # beta = 0 for all 23 classes, then 44 bisection steps for each of the
+    # 6 that fire; beta = 1 needs no SVD
+    assert len(calls) == 23 + 6 * 44
     assert set(calls) == {np.dtype(np.float64)}
+
+
+def test_noise_images_have_norm_d_to_minus_arrows():
+    # the premise that lets the sweep skip beta = 1: every class maps I/81
+    # to norm 3^-#arrows <= 1, so no class violates there
+    noise = maximally_mixed(3, 4).matrix
+    for cls in enumerate_classes(4):
+        arrows, _ = arrows_and_loops(cls.roles)
+        norm = trace_norm(apply_criterion(noise, to_permutation(cls), 3))
+        assert abs(norm - 3.0 ** -len(arrows)) < 1e-12
+
+
+@pytest.mark.parametrize("tolerance", [1e-9, 1e-7, 1e-5])
+def test_beta_sweep_exact_thresholds(tolerance):
+    # the four R and R+QT classes that fire cross 1 + tol at 1/5 - 6 tol/5,
+    # the 2R and R+R' classes at 13/45 - 4 tol/5; bisection stops within
+    # 2^-44 below; the other 17 classes never fire
+    reshuffle, double = 1 / 5 - 6 * tolerance / 5, 13 / 45 - 4 * tolerance / 5
+    exact = {
+        4: ("R", reshuffle), 9: ("R+QT", reshuffle), 19: ("R", reshuffle),
+        20: ("R+QT", reshuffle), 21: ("2R", double), 22: ("R+R'", double),
+    }
+    report = beta_sweep(tolerance=tolerance)
+    assert len(report.class_thresholds) == 23
+    for class_id, label, beta in report.class_thresholds:
+        if class_id in exact:
+            assert label == exact[class_id][0]
+            assert 0 <= exact[class_id][1] - beta < 2.0**-44
+        else:
+            assert beta == 0.0
 
 
 def test_beta_sweep_ignores_steps():
