@@ -10,7 +10,13 @@ import argparse
 import json
 import sys
 
-from .criteria import class_to_dict, describe, enumerate_classes, to_permutation
+from .criteria import (
+    MAX_PARTIES,
+    class_to_dict,
+    describe,
+    enumerate_classes,
+    to_permutation,
+)
 from .perms import cycle_string
 from .states import BUILTIN_STATES, load_state
 from .verify import (
@@ -80,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=12,
         help="kept for compatibility: validated (>= 10) and reported, but "
-        "thresholds come from bisection and do not depend on it",
+        "thresholds come from Newton steps on a fixed grid of 2^-44 and do "
+        "not depend on it",
     )
     p_beta.add_argument("--tol", type=float, default=1e-9)
     p_beta.add_argument("--format", choices=("table", "json"), default="table")
@@ -165,7 +172,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.parties >= LARGE_PARTIES and not args.large:
+    # above MAX_PARTIES the suite itself names the range, and d^r is not built
+    if LARGE_PARTIES <= args.parties <= MAX_PARTIES and not args.large:
         print(
             f"error: r={args.parties} needs --large "
             f"(runs {args.samples} samples of {args.dim ** args.parties}-dim SVDs)",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import json
+import math
 import numbers
 import threading
 from dataclasses import dataclass
@@ -51,6 +52,15 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim}, parties={self.parties})"
 
 
+def _is_power(n: int, dim: int, parties: int) -> bool:
+    """n == dim**parties, in at most log_dim(n) + 1 divisions."""
+    for _ in range(parties):
+        if n % dim:
+            return False
+        n //= dim
+    return n == 1
+
+
 def density_matrix(matrix: np.ndarray, dim: int, parties: int) -> DensityMatrix:
     """Validate and wrap a raw matrix, naming the violated invariant on failure.
 
@@ -66,10 +76,13 @@ def density_matrix(matrix: np.ndarray, dim: int, parties: int) -> DensityMatrix:
         matrix = np.array(matrix, dtype=complex, order="C")
     else:
         matrix = np.array(matrix.real, dtype=float, order="C")
-    n = dim**parties
-    if matrix.shape != (n, n):
+    square = matrix.ndim == 2 and matrix.shape[0] == matrix.shape[1]
+    if not (square and _is_power(matrix.shape[0], dim, parties)):
+        # d^r is printed only while it is short; building a huge power
+        # would take unbounded time before the message is ready
+        side = dim**parties if parties * math.log10(dim) < 16 else f"{dim}^{parties}"
         raise ValueError(
-            f"shape: expected {n}x{n} for d={dim}, r={parties}, got {matrix.shape}"
+            f"shape: expected {side}x{side} for d={dim}, r={parties}, got {matrix.shape}"
         )
     # entries and the trace print as complex numbers, so the messages read
     # the same whether the state is stored real or complex
@@ -171,18 +184,31 @@ def _probe_openblas() -> _OneBlasThread | None:
 _ONE_BLAS_THREAD = _probe_openblas()
 
 
-def trace_norm(matrix: np.ndarray) -> float:
-    """Sum of singular values.
+def trace_norm(
+    matrix: np.ndarray, direction: np.ndarray | None = None
+) -> float | tuple[float, float]:
+    """Sum of singular values, from a values-only SVD.
 
+    Given a ``direction`` D, the SVD A = U S V^dagger also computes vectors
+    and the result is ``(norm, slope)`` with slope = Re tr(W^dagger D),
+    W = U V^dagger: a subgradient of t -> ||A + t D||_1 at t = 0, the
+    derivative wherever A has full rank.  Every SVD in permsep runs here.
     Up to SINGLE_THREAD_SVD_MAX_N the SVD runs on one OpenBLAS thread,
     which is faster there, and the caller's thread count is restored after.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"trace norm needs a square matrix, got {matrix.shape}")
+    if direction is not None and np.shape(direction) != matrix.shape:
+        raise ValueError(
+            f"direction is {np.shape(direction)}, expected {matrix.shape}"
+        )
     limit = _ONE_BLAS_THREAD if matrix.shape[0] <= SINGLE_THREAD_SVD_MAX_N else None
     with limit or contextlib.nullcontext():
-        return float(np.linalg.svd(matrix, compute_uv=False).sum())
+        if direction is None:
+            return float(np.linalg.svd(matrix, compute_uv=False).sum())
+        u, s, vh = np.linalg.svd(matrix)
+        return float(s.sum()), float(np.vdot(u @ vh, direction).real)
 
 
 _CHESSBOARD = np.array(
@@ -363,7 +389,11 @@ def state_from_dict(data: object) -> DensityMatrix:
 def load_state(path: str | Path) -> DensityMatrix:
     """Read a state file (JSON, see :func:`state_from_dict`)."""
     with open(path) as fh:
-        return state_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nests too deeply to parse") from None
+    return state_from_dict(data)
 
 
 def state_to_dict(rho: DensityMatrix) -> dict:

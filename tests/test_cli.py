@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, formats, exit codes."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -88,6 +89,27 @@ def test_evaluate_rejects_invalid_state(tmp_path, capsys):
         code, _, err = run(capsys, "evaluate", "--state", str(path))
         assert code == 2
         assert message in err
+
+
+def test_evaluate_rejects_a_huge_party_count_at_once(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"d": 3, "r": 30_000_000, "re": [[1]]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "evaluate", "--state", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == (
+        "error: invalid state: shape: expected 3^30000000x3^30000000 "
+        "for d=3, r=30000000, got (1, 1)\n"
+    )
+
+
+def test_evaluate_rejects_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code, out, err = run(capsys, "evaluate", "--state", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: invalid state: JSON nests too deeply to parse\n"
 
 
 def test_evaluate_rejects_non_finite_entry(tmp_path, capsys):
@@ -184,6 +206,16 @@ def test_verify_rejects_zero_samples(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: samples must be >= 1, got 0\n"
+
+
+def test_verify_names_the_party_range_before_sizing_the_state(capsys):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "verify", "rule5", "--parties", "30000000", "--dim", "3"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == "error: parties must be in 1..8, got 30000000\n"
 
 
 def test_verify_large_r_needs_flag(capsys):

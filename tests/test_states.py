@@ -151,6 +151,30 @@ def test_trace_norm_invariances_and_multiplicativity():
     assert abs(trace_norm(np.kron(a, b)) - trace_norm(a) * trace_norm(b)) < 1e-9
 
 
+@pytest.mark.parametrize("make", [np.real, lambda a: a], ids=["real", "complex"])
+def test_trace_norm_slope_is_the_derivative(make):
+    # a generic square matrix has full rank, so t -> ||A + tD||_1 is
+    # differentiable at 0 and the slope is a central difference's limit
+    rng = np.random.default_rng(83)
+    for n in (3, 9, 27):
+        a, d = make(random_complex(n, rng)), make(random_complex(n, rng))
+        norm, slope = trace_norm(a, d)
+        assert abs(norm - trace_norm(a)) < 1e-12 * max(1.0, norm)
+        h = 1e-6
+        central = (trace_norm(a + h * d) - trace_norm(a - h * d)) / (2 * h)
+        assert abs(slope - central) < 1e-6 * max(1.0, abs(slope))
+
+
+def test_trace_norm_slope_is_a_subgradient_at_a_kink():
+    # ||diag(1, 0) + t diag(0, 1)||_1 = 1 + |t|: the subgradients at
+    # t = 0 are the slopes in [-1, 1]
+    a, d = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    norm, slope = trace_norm(a, d)
+    assert norm == 1.0 and -1.0 <= slope <= 1.0
+    with pytest.raises(ValueError, match="direction"):
+        trace_norm(a, np.ones(4))
+
+
 def _realigned_random_state(d, r, seed):
     rho = random_state(d, r, np.random.default_rng(seed))
     realign = Permutation((1, 3, 2, 4) + tuple(range(5, 2 * r + 1)))
@@ -403,6 +427,12 @@ def test_density_matrix_diagnostics_name_the_invariant():
         density_matrix(np.diag([1.5, -0.5, 0, 0]), 2, 2)
     with pytest.raises(ValueError, match="dimension"):
         density_matrix(good, 1, 2)
+    with pytest.raises(ValueError, match=r"shape: expected 4x4 .* got \(4,\)"):
+        density_matrix(np.ones(4) / 4, 2, 2)
+    with pytest.raises(ValueError, match=r"shape: expected 4x4 .* got \(4, 2\)"):
+        density_matrix(np.ones((4, 2)), 2, 2)
+    with pytest.raises(ValueError, match=r"shape: expected 9x9 .* got \(3, 3\)"):
+        density_matrix(np.eye(3) / 3, 3, 2)
 
 
 def test_state_dict_round_trip():

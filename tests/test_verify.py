@@ -11,8 +11,10 @@ from permsep.criteria import arrows_and_loops, enumerate_classes, to_permutation
 from permsep.states import (
     apply_criterion,
     chessboard_state,
+    density_matrix,
     maximally_mixed,
     mix_with_noise,
+    random_pure_vector,
     random_state,
     tensor_product,
     trace_norm,
@@ -24,6 +26,7 @@ from permsep.verify import (
     census,
     class_norms,
     evaluate_state,
+    noise_thresholds,
     verify_distinctness,
     verify_rule5,
 )
@@ -266,19 +269,99 @@ def test_beta_sweep_matches_the_grid_scan():
     assert fired == 6
 
 
-def test_beta_sweep_needs_one_svd_per_silent_class(monkeypatch):
+def _counting_trace_norm(monkeypatch):
+    """Route verify's SVDs through a recorder of (with vectors?, dtype)."""
     calls = []
 
-    def counting(matrix):
-        calls.append(matrix.dtype)
-        return trace_norm(matrix)
+    def counting(matrix, direction=None):
+        calls.append((direction is not None, matrix.dtype))
+        return trace_norm(matrix, direction)
 
     monkeypatch.setattr(verify, "trace_norm", counting)
+    return calls
+
+
+def test_beta_sweep_needs_one_svd_per_silent_class(monkeypatch):
+    calls = _counting_trace_norm(monkeypatch)
     beta_sweep()
-    # beta = 0 for all 23 classes, then 44 bisection steps for each of the
-    # 6 that fire; beta = 1 needs no SVD
-    assert len(calls) == 23 + 6 * 44
-    assert set(calls) == {np.dtype(np.float64)}
+    # a values-only SVD at beta = 0 for all 23 classes; each of the 6 that
+    # fire takes one SVD with vectors at beta = 0 and Newton steps after
+    # it, 22 in all; beta = 1 needs no SVD
+    assert sum(not vectors for vectors, _ in calls) == 23
+    assert sum(vectors for vectors, _ in calls) == 22
+    assert {dtype for _, dtype in calls} == {np.dtype(np.float64)}
+
+
+def _bisection_threshold(low, high, tolerance):
+    """The sweep's 44-step bisection before Newton steps replaced it."""
+    lo, hi = 0.0, 1.0 if _violated(low, high, 0.0, tolerance) else 0.0
+    while hi - lo > 2.0**-44:
+        mid = 0.5 * (lo + hi)
+        if _violated(low, high, mid, tolerance):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("tolerance", [1e-9, 1e-7, 1e-5, 1e-3])
+def test_beta_sweep_equals_bisection(tolerance):
+    report = beta_sweep(tolerance=tolerance)
+    expected = [_bisection_threshold(low, high, tolerance) for low, high in _sweep_family()]
+    assert [beta for _, _, beta in report.class_thresholds] == expected
+
+
+def _noisy_pure_family(d, r, seed):
+    rng = np.random.default_rng([seed, d, r])
+    ket = random_pure_vector(d**r, rng)
+    return density_matrix(np.outer(ket, ket.conj()), d, r)
+
+
+@pytest.mark.parametrize("d,r", [(2, 3), (3, 2)])
+def test_noise_thresholds_match_bisection_on_curved_families(monkeypatch, d, r):
+    # pure states plus white noise: the norm curves in beta, unlike the
+    # chessboard family, so Newton needs more than two steps
+    # one SVD at beta = 0, then at most one per Newton step and per midpoint
+    svd_bound = 1 + verify.NEWTON_STEPS + verify.BISECT_ITERS
+    noise = maximally_mixed(d, r).matrix
+    fired = 0
+    for seed in range(4):
+        rho = _noisy_pure_family(d, r, seed)
+        thresholds = noise_thresholds(rho, 1e-9)
+        for cls, beta in thresholds:
+            sigma = to_permutation(cls)
+            low = apply_criterion(rho.matrix, sigma, d)
+            high = apply_criterion(noise, sigma, d)
+            if trace_norm(low) > 1 + 1e-9:
+                calls = _counting_trace_norm(monkeypatch)
+                assert verify._noise_threshold(low, high, 1 + 1e-9) == beta
+                assert len(calls) <= svd_bound
+                monkeypatch.undo()
+                fired += 1
+            assert abs(beta - _bisection_threshold(low, high, 1e-9)) <= 2.0**-44
+    assert fired >= 4
+
+
+@pytest.mark.parametrize("newton_steps", [0, 1])
+def test_bisection_finishes_what_newton_leaves(monkeypatch, newton_steps):
+    # with few or no Newton steps the bisection fallback sets every threshold
+    monkeypatch.setattr(verify, "NEWTON_STEPS", newton_steps)
+    rho = _noisy_pure_family(2, 3, 0)
+    calls = _counting_trace_norm(monkeypatch)
+    thresholds = noise_thresholds(rho, 1e-9)
+    assert len(calls) <= len(thresholds) * (2 + newton_steps + verify.BISECT_ITERS)
+    monkeypatch.undo()
+    for (_, beta), (_, newton) in zip(thresholds, noise_thresholds(rho, 1e-9)):
+        assert abs(beta - newton) <= 2.0**-44
+
+
+def test_noise_thresholds_cover_every_class():
+    rho = _noisy_pure_family(3, 2, 1)
+    thresholds = noise_thresholds(rho, 1e-9)
+    assert [cls for cls, _ in thresholds] == list(enumerate_classes(2))
+    assert all(0.0 <= beta < 1.0 for _, beta in thresholds)
+    with pytest.raises(ValueError, match="tolerance"):
+        noise_thresholds(rho, 0.0)
 
 
 def test_noise_images_have_norm_d_to_minus_arrows():
