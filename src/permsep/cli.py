@@ -15,6 +15,7 @@ from .criteria import (
     class_to_dict,
     describe,
     enumerate_classes,
+    roles_to_string,
     to_permutation,
 )
 from .perms import cycle_string
@@ -106,7 +107,7 @@ def _cmd_enumerate(args) -> int:
     for cls in classes:
         perm = to_permutation(cls)
         print(
-            f"{cls.class_id:>4}  {''.join(r.char for r in cls.roles):<{width}}  "
+            f"{cls.class_id:>4}  {roles_to_string(cls.roles):<{width}}  "
             f"{cls.label:<10}  {cycle_string(perm):<16} {describe(cls)}"
         )
     return 0
@@ -136,15 +137,10 @@ def _cmd_evaluate(args) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: invalid state: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    if args.dim is not None and rho.dim != args.dim:
-        print(f"error: state has d={rho.dim}, expected {args.dim}", file=sys.stderr)
-        return USAGE_ERROR
-    if args.parties is not None and rho.parties != args.parties:
-        print(
-            f"error: state has r={rho.parties}, expected {args.parties}",
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
+    for key, expected, actual in (("d", args.dim, rho.dim), ("r", args.parties, rho.parties)):
+        if expected is not None and actual != expected:
+            print(f"error: state has {key}={actual}, expected {expected}", file=sys.stderr)
+            return USAGE_ERROR
     class_ids = None
     if args.classes:
         try:
@@ -247,6 +243,9 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
 

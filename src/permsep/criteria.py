@@ -211,13 +211,16 @@ def enumerate_classes(parties: int) -> tuple[CriterionClass, ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _classes_by_roles(parties: int) -> dict[RoleWord, CriterionClass]:
+    return {cls.roles: cls for cls in enumerate_classes(parties)}
+
+
 def canonicalize(roles: Sequence[Role]) -> CriterionClass:
-    """The class of a role word: canonical form plus its enumeration id."""
+    """The class of a role word: its canonical form, looked up in a table
+    from canonical word to class built once per r from the enumeration."""
     canon = canonical_roles(roles)
-    for cls in enumerate_classes(len(canon)):
-        if cls.roles == canon:
-            return cls
-    raise AssertionError(f"canonical form {canon} missing from enumeration")
+    return _classes_by_roles(len(canon))[canon]
 
 
 def class_of(sigma: Permutation) -> CriterionClass:

@@ -349,7 +349,7 @@ BUILTIN_STATES = {"chessboard": chessboard_state, "bell": bell_state}
 def _float_array(data: dict, key: str) -> np.ndarray:
     try:
         return np.asarray(data[key], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"key {key!r} must be an array of numbers: {exc}") from None
 
 

@@ -20,11 +20,12 @@ from .criteria import (
     roles_to_string,
     to_permutation,
 )
-from .perms import compose, global_transpose, norm_group
+from .perms import global_transpose, norm_group
 from .states import (
     DensityMatrix,
     apply_criterion,
     chessboard_state,
+    density_matrix,
     maximally_mixed,
     random_state,
     tensor_product,
@@ -53,6 +54,8 @@ class VerificationConfig:
     distinctness_threshold: float = 1e-6
 
     def __post_init__(self):
+        if self.dim < 2:
+            raise ValueError(f"local dimension must be >= 2, got {self.dim}")
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         for name in ("equality_threshold", "distinctness_threshold"):
@@ -122,13 +125,11 @@ def evaluate_state(
     _check_positive_finite("tolerance", tolerance)
     classes = enumerate_classes(rho.parties)
     if class_ids is not None:
-        index = {cls.class_id: cls for cls in classes}
-        try:
-            classes = tuple(index[i] for i in class_ids)
-        except KeyError as exc:
-            raise ValueError(
-                f"class id {exc.args[0]} out of range for r={rho.parties}"
-            ) from None
+        # a class id is the class's position in the enumeration
+        for i in class_ids:
+            if not 0 <= i < len(classes):
+                raise ValueError(f"class id {i} out of range for r={rho.parties}")
+        classes = tuple(classes[i] for i in class_ids)
     results = tuple(
         ClassResult(
             class_id=cls.class_id,
@@ -178,6 +179,11 @@ def brute_force_class_count(parties: int) -> int:
     return count
 
 
+def _suite_header(suite: str, config: VerificationConfig, threshold: float) -> dict:
+    return {"suite": suite, "r": config.parties, "d": config.dim,
+            "samples": config.samples, "seed": config.seed, "threshold": threshold}
+
+
 @dataclass(frozen=True)
 class Rule5Report:
     config: VerificationConfig
@@ -190,12 +196,7 @@ class Rule5Report:
 
     def to_dict(self) -> dict:
         return {
-            "suite": "rule5",
-            "r": self.config.parties,
-            "d": self.config.dim,
-            "samples": self.config.samples,
-            "seed": self.config.seed,
-            "threshold": self.config.equality_threshold,
+            **_suite_header("rule5", self.config, self.config.equality_threshold),
             "max_deviation": self.max_deviation,
             "failures": [list(f) for f in self.failures],
             "passed": self.passed,
@@ -203,24 +204,18 @@ class Rule5Report:
 
 
 def verify_rule5(config: VerificationConfig) -> Rule5Report:
-    """Check that composing any class representative with the global
-    transpose (transpose applied first) never changes the trace norm on
-    states: the pair detects exactly the same states even though the two
-    words sit in different cosets of the norm-preserving group."""
+    """Check that ||L_sigma(rho)||_1 = ||L_sigma(rho^T)||_1 for every class
+    on random states: composing sigma with the global transpose (transpose
+    applied first) moves it to another coset of the norm-preserving group,
+    yet on Hermitian input, where rho^T = conj(rho), it detects the same states."""
     rng = np.random.default_rng(config.seed)
     classes = enumerate_classes(config.parties)
-    tau = global_transpose(config.parties)
-    pairs = [
-        (cls, to_permutation(cls), compose(tau, to_permutation(cls)))
-        for cls in classes
-    ]
     max_dev = 0.0
     failures = []
     for sample in range(config.samples):
         rho = random_state(config.dim, config.parties, rng)
-        for cls, sigma, sigma_tau in pairs:
-            a = trace_norm(apply_criterion(rho.matrix, sigma, config.dim))
-            b = trace_norm(apply_criterion(rho.matrix, sigma_tau, config.dim))
+        rho_t = density_matrix(rho.matrix.T, rho.dim, rho.parties)
+        for (cls, a), (_, b) in zip(class_norms(rho, classes), class_norms(rho_t, classes)):
             dev = abs(a - b)
             max_dev = max(max_dev, dev)
             if dev >= config.equality_threshold:
@@ -244,12 +239,7 @@ class DistinctnessReport:
 
     def to_dict(self) -> dict:
         return {
-            "suite": "distinctness",
-            "r": self.config.parties,
-            "d": self.config.dim,
-            "samples": self.config.samples,
-            "seed": self.config.seed,
-            "threshold": self.config.distinctness_threshold,
+            **_suite_header("distinctness", self.config, self.config.distinctness_threshold),
             "min_gap": self.min_gap,
             "closest_pair": list(self.closest_pair),
             "sample_gaps": list(self.sample_gaps),

@@ -1,11 +1,16 @@
 """Command-line behavior: outputs, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from permsep import verify
 from permsep.cli import main
 from permsep.states import state_to_dict, random_state
 
@@ -83,6 +88,11 @@ def test_evaluate_rejects_invalid_state(tmp_path, capsys):
         ({"d": 2, "r": 1, "re": {"a": 1}}, "key 're' must be an array of numbers"),
         ({"d": 2, "r": 1, "re": [[0.5, 0], [0, 0.5]], "im": {"a": 1}},
          "key 'im' must be an array of numbers"),
+        # integers beyond float64 range
+        ({"d": 2, "r": 1, "re": [[10**400, 0], [0, 0]]},
+         "key 're' must be an array of numbers: int too large to convert to float"),
+        ({"d": 2, "r": 1, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 10**400], [0, 0]]},
+         "key 'im' must be an array of numbers: int too large to convert to float"),
     ]
     for data, message in cases:
         path.write_text(json.dumps(data))
@@ -208,6 +218,24 @@ def test_verify_rejects_zero_samples(capsys):
     assert err == "error: samples must be >= 1, got 0\n"
 
 
+def test_verify_rejects_a_local_dimension_below_two(capsys):
+    code, out, err = run(capsys, "verify", "rule5", "--parties", "3", "--dim", "-2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: local dimension must be >= 2, got -2\n"
+
+
+def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):
+    def no_memory(dim, parties, rng):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(verify, "random_state", no_memory)
+    code, out, err = run(capsys, "verify", "rule5", "--parties", "2", "--dim", "1000")
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
+
+
 def test_verify_names_the_party_range_before_sizing_the_state(capsys):
     start = time.perf_counter()
     code, out, err = run(
@@ -272,3 +300,18 @@ def test_beta_sweep_json(capsys):
     assert len(data["classes"]) == 23
     assert data["rows"]["QT"] == 0.0
     assert data["rows"]["2R"] > data["rows"]["R"] > 0
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["count", "--parties", "3"], 0),
+    (["verify", "rule5", "--parties", "2", "--samples", "1", "--tol", "1e-300"], 1),
+    (["count", "--parties", "9"], 2),
+])
+def test_module_entry_point_exit_codes(argv, expected):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "permsep", *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == expected, proc.stderr

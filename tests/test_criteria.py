@@ -86,6 +86,14 @@ def test_canonicalize_returns_class_with_id():
     assert enumerate_classes(3)[cls.class_id] == cls
 
 
+def test_canonicalize_matches_a_scan_of_the_enumeration():
+    for r in range(1, 7):
+        classes = enumerate_classes(r)
+        for word in balanced_role_words(r):
+            canon = canonical_roles(word)
+            assert canonicalize(word) == next(c for c in classes if c.roles == canon)
+
+
 def test_class_lookups_share_one_enumeration():
     # class_of and canonicalize must reuse the cached enumeration, not
     # build a second one under another cache key

@@ -8,6 +8,7 @@ import pytest
 
 from permsep import verify
 from permsep.criteria import arrows_and_loops, enumerate_classes, to_permutation
+from permsep.perms import compose, global_transpose
 from permsep.states import (
     apply_criterion,
     chessboard_state,
@@ -47,6 +48,9 @@ def test_config_validation():
         config(equality_threshold=0)
     with pytest.raises(ValueError):
         config(distinctness_threshold=-1)
+    for dim in (1, -2):
+        with pytest.raises(ValueError, match=f"local dimension must be >= 2, got {dim}"):
+            config(dim=dim)
 
 
 # --- brute-force oracle -------------------------------------------------------
@@ -83,6 +87,36 @@ def test_rule5_fails_with_impossible_threshold():
     report = verify_rule5(cfg)
     assert not report.passed
     assert report.failures
+
+
+def composite_word_rule5(cfg):
+    # each class's word against the word composed with the global transpose
+    # (transpose first), both applied to the same state
+    rng = np.random.default_rng(cfg.seed)
+    tau = global_transpose(cfg.parties)
+    max_dev, failures = 0.0, []
+    for sample in range(cfg.samples):
+        rho = random_state(cfg.dim, cfg.parties, rng)
+        for cls in enumerate_classes(cfg.parties):
+            sigma = to_permutation(cls)
+            a = trace_norm(apply_criterion(rho.matrix, sigma, cfg.dim))
+            b = trace_norm(apply_criterion(rho.matrix, compose(tau, sigma), cfg.dim))
+            max_dev = max(max_dev, abs(a - b))
+            if abs(a - b) >= cfg.equality_threshold:
+                failures.append((cls.class_id, sample, abs(a - b)))
+    return max_dev, tuple(failures)
+
+
+@pytest.mark.parametrize("threshold", [1e-10, 1e-300])
+@pytest.mark.parametrize("r,samples", [(2, 6), (3, 3), (4, 1)])
+def test_rule5_equals_the_composite_word_loop(r, samples, threshold):
+    # L_sigma(rho^T) is L_{compose(tau, sigma)}(rho) entry for entry, so
+    # the deviations are the same floats
+    cfg = config(parties=r, dim=2, samples=samples, seed=5, equality_threshold=threshold)
+    report = verify_rule5(cfg)
+    assert (report.max_deviation, report.failures) == composite_word_rule5(cfg)
+    if threshold == 1e-300:
+        assert report.failures
 
 
 def test_rule5_report_is_deterministic():
@@ -180,6 +214,10 @@ def test_evaluate_subset_and_bad_ids():
     assert [res.class_id for res in report.results] == [2, 0]
     with pytest.raises(ValueError):
         evaluate_state(chessboard_state(), class_ids=[99])
+    # ids are enumeration positions, so a negative one is not an index from the end
+    for ids, bad in (([-1], -1), ([0, 3, -4], 3)):
+        with pytest.raises(ValueError, match=f"^class id {bad} out of range for r=2$"):
+            evaluate_state(chessboard_state(), class_ids=ids)
 
 
 def test_evaluate_report_json_keys():
