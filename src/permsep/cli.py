@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=12,
         help="kept for compatibility: validated (>= 10) and reported, but "
-        "thresholds come from Newton steps on a fixed grid of 2^-44 and do "
+        "thresholds come from secant steps on a fixed grid of 2^-44 and do "
         "not depend on it",
     )
     p_beta.add_argument("--tol", type=float, default=1e-9)
@@ -168,14 +168,6 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # above MAX_PARTIES the suite itself names the range, and d^r is not built
-    if LARGE_PARTIES <= args.parties <= MAX_PARTIES and not args.large:
-        print(
-            f"error: r={args.parties} needs --large "
-            f"(runs {args.samples} samples of {args.dim ** args.parties}-dim SVDs)",
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
     config = VerificationConfig(
         parties=args.parties,
         dim=args.dim,
@@ -184,6 +176,14 @@ def _cmd_verify(args) -> int:
         equality_threshold=args.tol,
         distinctness_threshold=args.gap,
     )
+    # above MAX_PARTIES the suite itself names the range, and d^r is not built
+    if LARGE_PARTIES <= args.parties <= MAX_PARTIES and not args.large:
+        print(
+            f"error: r={args.parties} needs --large "
+            f"(runs {args.samples} samples of {args.dim ** args.parties}-dim SVDs)",
+            file=sys.stderr,
+        )
+        return USAGE_ERROR
     if args.suite == "rule5":
         report = verify_rule5(config)
         if args.format == "json":

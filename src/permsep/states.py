@@ -184,31 +184,19 @@ def _probe_openblas() -> _OneBlasThread | None:
 _ONE_BLAS_THREAD = _probe_openblas()
 
 
-def trace_norm(
-    matrix: np.ndarray, direction: np.ndarray | None = None
-) -> float | tuple[float, float]:
+def trace_norm(matrix: np.ndarray) -> float:
     """Sum of singular values, from a values-only SVD.
 
-    Given a ``direction`` D, the SVD A = U S V^dagger also computes vectors
-    and the result is ``(norm, slope)`` with slope = Re tr(W^dagger D),
-    W = U V^dagger: a subgradient of t -> ||A + t D||_1 at t = 0, the
-    derivative wherever A has full rank.  Every SVD in permsep runs here.
-    Up to SINGLE_THREAD_SVD_MAX_N the SVD runs on one OpenBLAS thread,
-    which is faster there, and the caller's thread count is restored after.
+    Every SVD in permsep runs here.  Up to SINGLE_THREAD_SVD_MAX_N the SVD
+    runs on one OpenBLAS thread, which is faster there, and the caller's
+    thread count is restored after.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"trace norm needs a square matrix, got {matrix.shape}")
-    if direction is not None and np.shape(direction) != matrix.shape:
-        raise ValueError(
-            f"direction is {np.shape(direction)}, expected {matrix.shape}"
-        )
     limit = _ONE_BLAS_THREAD if matrix.shape[0] <= SINGLE_THREAD_SVD_MAX_N else None
     with limit or contextlib.nullcontext():
-        if direction is None:
-            return float(np.linalg.svd(matrix, compute_uv=False).sum())
-        u, s, vh = np.linalg.svd(matrix)
-        return float(s.sum()), float(np.vdot(u @ vh, direction).real)
+        return float(np.linalg.svd(matrix, compute_uv=False).sum())
 
 
 _CHESSBOARD = np.array(

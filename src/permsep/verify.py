@@ -34,7 +34,8 @@ from .states import (
 
 LARGE_PARTIES = 7  # randomized suites above this need an explicit opt-in
 BISECT_ITERS = 44  # noise thresholds are located to 2^-BISECT_ITERS
-NEWTON_STEPS = 8  # Newton steps per threshold before plain bisection takes over
+SECANT_STEPS = 8  # probe and secant steps per threshold before plain bisection
+PROBE_BETA = 2.0**-10  # the first beta a threshold search evaluates after 0
 
 
 def _check_positive_finite(name: str, value: float) -> None:
@@ -309,44 +310,40 @@ class BetaSweepReport:
         }
 
 
-def _noise_threshold(low: np.ndarray, high: np.ndarray, bound: float) -> float:
+def _noise_threshold(
+    low: np.ndarray, high: np.ndarray, norm: float, bound: float
+) -> float:
     """Largest grid point beta = k * 2^-BISECT_ITERS at which
-    f(beta) = ||(1 - beta) * low + beta * high||_1 exceeds ``bound``, or 0.
+    f(beta) = ||(1 - beta) * low + beta * high||_1 exceeds ``bound``.
 
-    Called only when f(0) > bound >= 1 >= f(1), so the bracket [lo, hi] of
-    grid indices starts at [0, 2^BISECT_ITERS].  f is convex, so its
-    tangent at lo lies below it and meets ``bound`` at or before beta*:
-    each Newton step evaluates the grid point at or below that root,
-    clamped into (lo, hi), and where f is linear from lo to beta* the
-    bracket closes in two steps.  After NEWTON_STEPS steps, or at a slope
-    that rounding made non-negative, the remaining steps are midpoints.
-    The decisions are those of a 44-step bisection, except that a Newton
-    step reads the singular values of an SVD with vectors, which can
-    differ from the values-only SVD in the last bits; so in general the
-    result agrees with bisection to one grid step.
+    Called only when f(0) = ``norm`` > bound >= 1 >= f(1).  The bracket
+    [lo, hi] of grid indices starts at [0, 2^BISECT_ITERS] and keeps
+    f(lo) > bound >= f(hi) by evaluation, so convexity only makes the
+    search fast.  The first step probes beta = PROBE_BETA; each later step
+    takes the grid point at or below the root of the secant through the
+    two latest points that fire, clamped into (lo, hi).  f is convex, so
+    beyond those points the secant lies below f and its root does not pass
+    beta*; where f is linear past the probe the bracket closes in two more
+    steps.  After SECANT_STEPS steps, or at a secant slope that is not
+    negative, the remaining steps are midpoints.  Each decision reads the
+    values-only SVD that a 44-step bisection reads, so both end at the same
+    grid point unless rounding makes f cross ``bound`` more than once.
     """
     grid = 2**BISECT_ITERS
-    direction = high - low
-
-    def mixed(k: int) -> np.ndarray:
-        beta = k / grid
-        return (1 - beta) * low + beta * high
-
     lo, hi = 0, grid
-    norm, slope = trace_norm(low, direction)
+    slope = np.nan  # per grid step, through the two latest firing points
     steps = 0
     while hi - lo > 1:
-        if steps < NEWTON_STEPS and slope < 0:
-            steps += 1
-            root = lo + (bound - norm) / slope * grid
-            k = int(min(max(root, lo + 1), hi - 1))
-            value, k_slope = trace_norm(mixed(k), direction)
+        if steps < SECANT_STEPS and (steps == 0 or slope < 0):
+            root = lo + (bound - norm) / slope if steps else PROBE_BETA * grid
         else:
-            # a midpoint has no slope, so no Newton step follows it
-            k = (lo + hi) // 2
-            value, k_slope = trace_norm(mixed(k)), np.nan
+            steps, root = SECANT_STEPS, (lo + hi) // 2  # midpoints from here on
+        steps += 1
+        k = int(min(max(root, lo + 1), hi - 1))
+        beta = k / grid
+        value = trace_norm((1 - beta) * low + beta * high)
         if value > bound:
-            lo, norm, slope = k, value, k_slope
+            lo, norm, slope = k, value, (value - norm) / (k - lo)
         else:
             hi = k
     return lo / grid
@@ -360,7 +357,9 @@ def noise_thresholds(
     On the family (1 - beta) * rho + beta * I/n the threshold beta* of a
     class is the largest beta on the grid of 2^-BISECT_ITERS whose image
     still has trace norm > 1 + tolerance, and 0 when beta = 0 does not.
-    A values-only SVD at beta = 0 settles each class that does not fire.
+    An SVD at beta = 0 settles each class that does not fire; a class that
+    fires hands its beta = 0 norm to a secant search that finds the
+    44-step bisection's threshold in a few SVDs.  Every SVD is values-only.
     The noise image has norm d^-#arrows <= 1, so beta = 1 never fires, and
     the norm is convex in beta, so the betas that fire form one interval
     starting at 0.
@@ -372,9 +371,10 @@ def noise_thresholds(
     for cls in enumerate_classes(rho.parties):
         sigma = to_permutation(cls)
         low = apply_criterion(rho.matrix, sigma, rho.dim)
-        if trace_norm(low) > bound:
+        norm = trace_norm(low)
+        if norm > bound:
             high = apply_criterion(noise, sigma, rho.dim)
-            thresholds.append((cls, _noise_threshold(low, high, bound)))
+            thresholds.append((cls, _noise_threshold(low, high, norm, bound)))
         else:
             thresholds.append((cls, 0.0))
     return thresholds
@@ -385,10 +385,11 @@ def beta_sweep(steps: int = 12, tolerance: float = 1e-9) -> BetaSweepReport:
 
     The family is (1 - beta) * rho_c (x) rho_c + beta * I/81 on four
     qutrits, and each class's threshold comes from :func:`noise_thresholds`:
-    safeguarded Newton steps on the convex norm, snapped to the grid of
-    2^-BISECT_ITERS, in 45 SVDs per sweep instead of the 287 of a 44-step
-    bisection; on this family the thresholds equal the bisection's.  Partial-transpose classes never
-    fire: the PPT chessboard stays PPT under tensor products and noise.
+    safeguarded secant steps on the convex norm, snapped to the grid of
+    2^-BISECT_ITERS, in 45 values-only SVDs per sweep instead of the 287 of
+    a 44-step bisection, with the bisection's thresholds.  Partial-transpose
+    classes never fire: the PPT chessboard stays PPT under tensor products
+    and noise.
     ``steps`` is validated and reported but does not change a threshold.
     """
     if steps < 10:

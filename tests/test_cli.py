@@ -255,6 +255,18 @@ def test_verify_large_r_needs_flag(capsys):
     assert "--large" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--parties", "7", "--dim", "-2"], "local dimension must be >= 2, got -2"),
+    (["--parties", "7", "--samples", "0"], "samples must be >= 1, got 0"),
+    (["--parties", "8", "--dim", "1"], "local dimension must be >= 2, got 1"),
+], ids=["r7-dim-2", "r7-samples-0", "r8-dim-1"])
+def test_verify_names_a_bad_field_before_asking_for_large(capsys, argv, message):
+    code, out, err = run(capsys, "verify", "distinctness", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate"])  # missing --parties

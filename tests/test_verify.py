@@ -307,31 +307,31 @@ def test_beta_sweep_matches_the_grid_scan():
     assert fired == 6
 
 
-def _counting_trace_norm(monkeypatch):
-    """Route verify's SVDs through a recorder of (with vectors?, dtype)."""
+def _counting_svd(monkeypatch):
+    """Route numpy's SVDs through a recorder of (with vectors?, dtype)."""
     calls = []
+    svd = np.linalg.svd
 
-    def counting(matrix, direction=None):
-        calls.append((direction is not None, matrix.dtype))
-        return trace_norm(matrix, direction)
+    def counting(a, full_matrices=True, compute_uv=True, **kwargs):
+        calls.append((compute_uv, a.dtype))
+        return svd(a, full_matrices, compute_uv, **kwargs)
 
-    monkeypatch.setattr(verify, "trace_norm", counting)
+    monkeypatch.setattr(np.linalg, "svd", counting)
     return calls
 
 
 def test_beta_sweep_needs_one_svd_per_silent_class(monkeypatch):
-    calls = _counting_trace_norm(monkeypatch)
+    calls = _counting_svd(monkeypatch)
     beta_sweep()
-    # a values-only SVD at beta = 0 for all 23 classes; each of the 6 that
-    # fire takes one SVD with vectors at beta = 0 and Newton steps after
-    # it, 22 in all; beta = 1 needs no SVD
-    assert sum(not vectors for vectors, _ in calls) == 23
-    assert sum(vectors for vectors, _ in calls) == 22
+    # one SVD at beta = 0 for each of the 23 classes; each of the 6 that
+    # fire adds a probe and secant steps, 22 in all; beta = 1 needs no SVD
+    assert len(calls) <= 45
+    assert not any(vectors for vectors, _ in calls)
     assert {dtype for _, dtype in calls} == {np.dtype(np.float64)}
 
 
 def _bisection_threshold(low, high, tolerance):
-    """The sweep's 44-step bisection before Newton steps replaced it."""
+    """The sweep's 44-step bisection before secant steps replaced it."""
     lo, hi = 0.0, 1.0 if _violated(low, high, 0.0, tolerance) else 0.0
     while hi - lo > 2.0**-44:
         mid = 0.5 * (lo + hi)
@@ -355,42 +355,75 @@ def _noisy_pure_family(d, r, seed):
     return density_matrix(np.outer(ket, ket.conj()), d, r)
 
 
-@pytest.mark.parametrize("d,r", [(2, 3), (3, 2)])
+def _firing_images(rho, tolerance=1e-9):
+    """(class, low, high, norm at beta = 0) of each class that fires at beta = 0."""
+    noise = maximally_mixed(rho.dim, rho.parties).matrix
+    for cls in enumerate_classes(rho.parties):
+        sigma = to_permutation(cls)
+        low = apply_criterion(rho.matrix, sigma, rho.dim)
+        norm = trace_norm(low)
+        if norm > 1 + tolerance:
+            yield cls, low, apply_criterion(noise, sigma, rho.dim), norm
+
+
+def _bisection_thresholds(rho, tolerance=1e-9):
+    """Each class's threshold by the 44-step bisection, in enumeration order."""
+    noise = maximally_mixed(rho.dim, rho.parties).matrix
+    thresholds = []
+    for cls in enumerate_classes(rho.parties):
+        sigma = to_permutation(cls)
+        low = apply_criterion(rho.matrix, sigma, rho.dim)
+        high = apply_criterion(noise, sigma, rho.dim)
+        thresholds.append((cls, _bisection_threshold(low, high, tolerance)))
+    return thresholds
+
+
+@pytest.mark.parametrize("d,r", [(2, 2), (2, 3), (3, 2), (2, 4)])
 def test_noise_thresholds_match_bisection_on_curved_families(monkeypatch, d, r):
     # pure states plus white noise: the norm curves in beta, unlike the
-    # chessboard family, so Newton needs more than two steps
-    # one SVD at beta = 0, then at most one per Newton step and per midpoint
-    svd_bound = 1 + verify.NEWTON_STEPS + verify.BISECT_ITERS
-    noise = maximally_mixed(d, r).matrix
+    # chessboard family, so the secant needs more than two steps; at most
+    # one SVD per probe or secant step and per midpoint
+    svd_bound = verify.SECANT_STEPS + verify.BISECT_ITERS
     fired = 0
-    for seed in range(4):
+    for seed in range(6):
         rho = _noisy_pure_family(d, r, seed)
         thresholds = noise_thresholds(rho, 1e-9)
-        for cls, beta in thresholds:
-            sigma = to_permutation(cls)
-            low = apply_criterion(rho.matrix, sigma, d)
-            high = apply_criterion(noise, sigma, d)
-            if trace_norm(low) > 1 + 1e-9:
-                calls = _counting_trace_norm(monkeypatch)
-                assert verify._noise_threshold(low, high, 1 + 1e-9) == beta
-                assert len(calls) <= svd_bound
-                monkeypatch.undo()
-                fired += 1
-            assert abs(beta - _bisection_threshold(low, high, 1e-9)) <= 2.0**-44
-    assert fired >= 4
+        assert thresholds == _bisection_thresholds(rho)
+        by_class = dict(thresholds)
+        for cls, low, high, norm in _firing_images(rho):
+            calls = _counting_svd(monkeypatch)
+            assert verify._noise_threshold(low, high, norm, 1 + 1e-9) == by_class[cls]
+            assert len(calls) <= svd_bound
+            monkeypatch.undo()
+            fired += 1
+    assert fired >= 6
 
 
-@pytest.mark.parametrize("newton_steps", [0, 1])
-def test_bisection_finishes_what_newton_leaves(monkeypatch, newton_steps):
-    # with few or no Newton steps the bisection fallback sets every threshold
-    monkeypatch.setattr(verify, "NEWTON_STEPS", newton_steps)
+def test_noise_threshold_below_the_probe_is_the_bisection_one():
+    # a state just inside the entangled region has thresholds below the
+    # first probe, so the probe does not fire and midpoints finish
+    rho = _noisy_pure_family(2, 2, 0)
+    top = max(beta for _, beta in noise_thresholds(rho, 1e-9))
+    edge = mix_with_noise(rho, top - 1e-4)
+    fired = 0
+    for _, low, high, norm in _firing_images(edge):
+        expected = _bisection_threshold(low, high, 1e-9)
+        assert 0 < expected < verify.PROBE_BETA
+        assert verify._noise_threshold(low, high, norm, 1 + 1e-9) == expected
+        fired += 1
+    assert fired >= 1
+
+
+@pytest.mark.parametrize("secant_steps", [0, 1])
+def test_bisection_finishes_what_newton_leaves(monkeypatch, secant_steps):
+    # with few or no probe and secant steps the bisection fallback sets
+    # every threshold
+    monkeypatch.setattr(verify, "SECANT_STEPS", secant_steps)
     rho = _noisy_pure_family(2, 3, 0)
-    calls = _counting_trace_norm(monkeypatch)
+    calls = _counting_svd(monkeypatch)
     thresholds = noise_thresholds(rho, 1e-9)
-    assert len(calls) <= len(thresholds) * (2 + newton_steps + verify.BISECT_ITERS)
-    monkeypatch.undo()
-    for (_, beta), (_, newton) in zip(thresholds, noise_thresholds(rho, 1e-9)):
-        assert abs(beta - newton) <= 2.0**-44
+    assert len(calls) <= len(thresholds) * (1 + secant_steps + verify.BISECT_ITERS)
+    assert thresholds == _bisection_thresholds(rho)
 
 
 def test_noise_thresholds_cover_every_class():
