@@ -8,6 +8,8 @@ the enumeration order.
 from __future__ import annotations
 
 import itertools
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +24,7 @@ from .criteria import (
 )
 from .perms import global_transpose, norm_group
 from .states import (
+    SINGLE_THREAD_SVD_MAX_N,
     DensityMatrix,
     apply_criterion,
     chessboard_state,
@@ -36,6 +39,16 @@ LARGE_PARTIES = 7  # randomized suites above this need an explicit opt-in
 BISECT_ITERS = 44  # noise thresholds are located to 2^-BISECT_ITERS
 SECANT_STEPS = 8  # probe and secant steps per threshold before plain bisection
 PROBE_BETA = 2.0**-10  # the first beta a threshold search evaluates after 0
+# class_norms counts the work of one image as n^3 for its n x n SVD.  At or
+# below POOL_MIN_WORK a call stays in one process: a worker takes about
+# 0.4 s to boot, and a call that boots it breaks even near 4e8 (measured in
+# BENCH_11.json).  A pooled call ships rho once per chunk of at most
+# CHUNK_WORK: 33 images at n = 128, 4 at n = 243 or 256.
+POOL_MIN_WORK = 4e8
+CHUNK_WORK = 7e7
+
+_pool = None  # (executor, workers): one per process, started on first use
+_pool_lock = threading.Lock()
 
 
 def _check_positive_finite(name: str, value: float) -> None:
@@ -59,6 +72,8 @@ class VerificationConfig:
             raise ValueError(f"local dimension must be >= 2, got {self.dim}")
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         for name in ("equality_threshold", "distinctness_threshold"):
             _check_positive_finite(name, getattr(self, name))
 
@@ -104,16 +119,122 @@ class EvaluationReport:
         }
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _norm_chunk(matrix: np.ndarray, dim: int, perms: list) -> list[float]:
+    """Trace norms of a matrix's images under a run of permutations.  Both
+    the calling process and the pool's workers run this, so a norm has the
+    same bits whichever process computed it."""
+    return [trace_norm(apply_criterion(matrix, sigma, dim)) for sigma in perms]
+
+
+def _start_pool(images: int, n: int):
+    """The process's pool and its worker count, started if need be, or None
+    where a call of ``images`` SVDs of n x n should stay in this process:
+    one usable core, n large enough that BLAS threads already use the
+    cores, too little work to repay a worker's boot, or this process is
+    itself a worker."""
+    global _pool
+    if n > SINGLE_THREAD_SVD_MAX_N or images * n**3 <= POOL_MIN_WORK:
+        return None
+    cores = _usable_cores()
+    if cores < 2:
+        return None
+    # imported here, so that importing permsep stays as fast as before
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if multiprocessing.parent_process() is not None:
+        return None
+    with _pool_lock:
+        if _pool is None:
+            # the executor joins its workers at interpreter exit
+            executor = ProcessPoolExecutor(
+                cores - 1, mp_context=multiprocessing.get_context("spawn")
+            )
+            _pool = (executor, cores - 1)
+        return _pool
+
+
+def _drop_pool(executor) -> None:
+    """Forget a pool that lost a worker and join what is left of it."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None and _pool[0] is executor:
+            _pool = None
+    executor.shutdown()
+
+
+def _pooled_norms(executor, workers: int, matrix: np.ndarray, dim: int,
+                  perms: list) -> list[float]:
+    """``_norm_chunk`` over all of ``perms``, shared with the pool's workers.
+
+    The workers take chunks from the front, at most two waiting or running
+    per worker, while this process computes one image at a time from the
+    back; once the two ends meet it reads the workers' results.  A chunk
+    is about CHUNK_WORK, and at most a 2 * (workers + 1)-th of what is left,
+    so the ends meet with little left to wait for.  Nothing is cancelled:
+    on Python 3.10 and 3.11 a pool that breaks while it holds a cancelled
+    future fails in its own thread and leaves the other futures unresolved.
+    If a worker dies, this process computes what it lost and drops the pool.
+    """
+    from concurrent.futures.process import BrokenProcessPool
+
+    size = max(1, int(CHUNK_WORK / len(matrix) ** 3))
+    norms: list = [None] * len(perms)
+    sent = []  # (start, stop, future) of each chunk sent
+    broken = False
+    lo, hi = 0, len(perms)  # perms[lo:hi] are neither sent nor computed
+    while lo < hi:
+        if not broken and sum(not f.done() for *_, f in sent) < 2 * workers:
+            stop = lo + max(1, min(size, (hi - lo) // (2 * (workers + 1))))
+            try:
+                future = executor.submit(_norm_chunk, matrix, dim, perms[lo:stop])
+            except BrokenProcessPool:
+                broken = True
+            else:
+                sent.append((lo, stop, future))
+                lo = stop
+        else:
+            hi -= 1
+            norms[hi:hi + 1] = _norm_chunk(matrix, dim, perms[hi:hi + 1])
+    for start, stop, future in sent:
+        try:
+            norms[start:stop] = future.result()
+        except BrokenProcessPool:
+            broken = True
+            norms[start:stop] = _norm_chunk(matrix, dim, perms[start:stop])
+    if broken:
+        _drop_pool(executor)
+    return norms
+
+
 def class_norms(
     rho: DensityMatrix, classes: tuple[CriterionClass, ...] | None = None
 ) -> list[tuple[CriterionClass, float]]:
-    """Trace norm of every permuted image of a state, in enumeration order."""
+    """Trace norm of every permuted image of a state, in enumeration order.
+
+    A call with enough SVDs of at most SINGLE_THREAD_SVD_MAX_N shares them
+    with a process pool of one worker per usable core but one (see
+    ``POOL_MIN_WORK``); the norms are the same bits either way.  Workers
+    start with ``spawn``, which imports the caller's main module again, so
+    a script that gets here at r >= 7 needs an ``if __name__ == "__main__":``
+    guard.
+    """
     if classes is None:
         classes = enumerate_classes(rho.parties)
-    return [
-        (cls, trace_norm(apply_criterion(rho.matrix, to_permutation(cls), rho.dim)))
-        for cls in classes
-    ]
+    perms = [to_permutation(cls) for cls in classes]
+    pool = _start_pool(len(perms), rho.size)
+    if pool is None:
+        norms = _norm_chunk(rho.matrix, rho.dim, perms)
+    else:
+        norms = _pooled_norms(*pool, rho.matrix, rho.dim, perms)
+    return list(zip(classes, norms))
 
 
 def evaluate_state(
@@ -127,9 +248,13 @@ def evaluate_state(
     classes = enumerate_classes(rho.parties)
     if class_ids is not None:
         # a class id is the class's position in the enumeration
+        seen = set()
         for i in class_ids:
             if not 0 <= i < len(classes):
                 raise ValueError(f"class id {i} out of range for r={rho.parties}")
+            if i in seen:
+                raise ValueError(f"class id {i} given twice")
+            seen.add(i)
         classes = tuple(classes[i] for i in class_ids)
     results = tuple(
         ClassResult(

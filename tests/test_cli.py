@@ -160,6 +160,13 @@ def test_evaluate_rejects_mismatched_expectations(capsys):
     assert "d=2" in err
 
 
+def test_evaluate_rejects_a_repeated_class_id(capsys):
+    code, out, err = run(capsys, "evaluate", "--builtin", "bell", "--classes", "1,1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: class id 1 given twice\n"
+
+
 def test_evaluate_missing_file(capsys):
     code, _, err = run(capsys, "evaluate", "--state", "/nonexistent.json")
     assert code == 2
@@ -216,6 +223,13 @@ def test_verify_rejects_zero_samples(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: samples must be >= 1, got 0\n"
+
+
+def test_verify_rejects_a_negative_seed(capsys):
+    code, out, err = run(capsys, "verify", "rule5", "--parties", "2", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be a non-negative integer, got -1\n"
 
 
 def test_verify_rejects_a_local_dimension_below_two(capsys):
@@ -320,10 +334,53 @@ def test_beta_sweep_json(capsys):
     (["count", "--parties", "9"], 2),
 ])
 def test_module_entry_point_exit_codes(argv, expected):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.run(
-        [sys.executable, "-m", "permsep", *argv], env=env, capture_output=True, text=True
+        [sys.executable, "-m", "permsep", *argv], env=_src_env(), capture_output=True,
+        text=True,
     )
     assert proc.returncode == expected, proc.stderr
+
+
+def _src_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def test_importing_permsep_loads_no_process_machinery():
+    code = ("import sys, numpy; before = set(sys.modules); import permsep, permsep.cli; "
+            "new = set(sys.modules) - before; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & new))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+# evaluate with the pool forced on one worker, then the pids of the live workers
+_POOLED_CLI = """
+import multiprocessing, sys
+from permsep import cli, verify
+verify.POOL_MIN_WORK = 0
+verify._usable_cores = lambda: 2
+code = cli.main(sys.argv[1:])
+print(*[p.pid for p in multiprocessing.active_children()], file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_a_pooled_cli_run_joins_its_workers(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state_to_dict(random_state(2, 5, np.random.default_rng(3)))))
+    argv = ["evaluate", "--state", str(path), "--format", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-X", "dev", "-c", _POOLED_CLI, *argv],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    pids = [int(pid) for pid in proc.stderr.split()]
+    assert len(pids) == 1  # nothing else was written to stderr
+    with pytest.raises(ProcessLookupError):
+        os.kill(pids[0], 0)
+    # the pooled stdout is the serial one, byte for byte
+    assert run(capsys, *argv) == (0, proc.stdout, "")

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -51,6 +52,8 @@ def test_config_validation():
     for dim in (1, -2):
         with pytest.raises(ValueError, match=f"local dimension must be >= 2, got {dim}"):
             config(dim=dim)
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+        config(seed=-1)
 
 
 # --- brute-force oracle -------------------------------------------------------
@@ -217,6 +220,10 @@ def test_evaluate_subset_and_bad_ids():
     # ids are enumeration positions, so a negative one is not an index from the end
     for ids, bad in (([-1], -1), ([0, 3, -4], 3)):
         with pytest.raises(ValueError, match=f"^class id {bad} out of range for r=2$"):
+            evaluate_state(chessboard_state(), class_ids=ids)
+    # a repeated id would be counted twice in the verdict
+    for ids in ([1, 1], [2, 0, 1, 0]):
+        with pytest.raises(ValueError, match=f"^class id {ids[-1]} given twice$"):
             evaluate_state(chessboard_state(), class_ids=ids)
 
 
@@ -477,3 +484,89 @@ def test_tolerance_must_be_positive_and_finite(tolerance):
         evaluate_state(chessboard_state(), tolerance=tolerance)
     with pytest.raises(ValueError, match="equality_threshold"):
         config(equality_threshold=tolerance)
+
+
+# --- process pool -------------------------------------------------------------------
+
+@pytest.fixture
+def pool_on_two_cores(monkeypatch):
+    """Any call of class_norms runs pooled, with one worker; the pool is
+    joined after the test."""
+    assert verify._pool is None
+    monkeypatch.setattr(verify, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(verify, "POOL_MIN_WORK", 0)
+    yield
+    if verify._pool is not None:
+        verify._drop_pool(verify._pool[0])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_state(2, 4, np.random.default_rng(83)),
+    lambda: tensor_product(chessboard_state(), chessboard_state()),  # real
+], ids=["complex-d2", "real-d3"])
+def test_pooled_norms_equal_the_serial_ones(pool_on_two_cores, monkeypatch, make):
+    rho = make()
+    calls = []  # SVDs run in this process
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return trace_norm(matrix)
+
+    monkeypatch.setattr(verify, "trace_norm", counted)
+    pooled = class_norms(rho)
+    assert verify._pool is not None
+    assert 0 < len(calls) < len(pooled)  # the worker computed the rest
+    monkeypatch.setattr(verify, "POOL_MIN_WORK", float("inf"))
+    assert pooled == class_norms(rho)
+    assert [cls.class_id for cls, _ in pooled] == list(range(len(pooled)))
+
+
+def test_a_killed_worker_loses_no_norm(pool_on_two_cores, monkeypatch):
+    rho = random_state(2, 5, np.random.default_rng(89))
+    executor, _ = verify._start_pool(1, 2)
+    submit = executor.submit
+    killed = []
+
+    def submit_and_kill(*args):
+        future = submit(*args)
+        if not killed:  # the executor reaps what it lost
+            killed.extend(multiprocessing.active_children())
+            for worker in killed:
+                worker.kill()
+        return future
+
+    monkeypatch.setattr(executor, "submit", submit_and_kill)
+    pooled = class_norms(rho)
+    assert len(killed) == 1
+    assert verify._pool is None  # the broken pool was dropped
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(verify, "POOL_MIN_WORK", float("inf"))
+    assert pooled == class_norms(rho)
+    # the next call starts a new pool
+    monkeypatch.setattr(verify, "POOL_MIN_WORK", 0)
+    assert class_norms(rho) == pooled
+    assert verify._pool is not None and verify._pool[0] is not executor
+
+
+def test_no_pool_below_the_break_even(monkeypatch):
+    monkeypatch.setattr(verify, "_usable_cores", lambda: 4)
+    rng = np.random.default_rng(97)
+    for r in range(1, 7):
+        evaluate_state(random_state(2, r, rng))
+    evaluate_state(random_state(3, 4, rng))
+    beta_sweep()
+    assert verify._pool is None
+    assert multiprocessing.active_children() == []
+
+
+def test_one_core_a_large_matrix_or_a_worker_runs_serially(monkeypatch):
+    monkeypatch.setattr(verify, "POOL_MIN_WORK", 0)
+    monkeypatch.setattr(verify, "_usable_cores", lambda: 1)
+    assert verify._start_pool(10**6, 128) is None
+    monkeypatch.setattr(verify, "_usable_cores", lambda: 4)
+    # above it BLAS threads already share the cores
+    assert verify._start_pool(10**6, verify.SINGLE_THREAD_SVD_MAX_N + 1) is None
+    # a worker never starts a pool of its own
+    monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+    assert verify._start_pool(10**6, 128) is None
+    assert verify._pool is None
