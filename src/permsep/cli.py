@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a verification assertion failed, 2 usage or
-state-file errors.
+state-file errors, 141 (128 + SIGPIPE) stdout closed early under
+``python -m permsep``.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ import json
 import math
 import numbers
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +38,17 @@ SINGLE_THREAD_SVD_MAX_N = 256
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A validated quantum state: d^r x d^r, Hermitian, unit trace, PSD."""
+    """A validated quantum state: d^r x d^r, Hermitian, unit trace, PSD.
+
+    ``factors`` holds the states whose Kronecker product ``matrix`` is, in
+    party order, when :func:`tensor_product` built it, and is empty
+    otherwise; each factor has no factors of its own.
+    """
 
     matrix: np.ndarray
     dim: int
     parties: int
+    factors: tuple[DensityMatrix, ...] = ()
 
     @property
     def size(self) -> int:
@@ -96,7 +102,10 @@ def density_matrix(matrix: np.ndarray, dim: int, parties: int) -> DensityMatrix:
     tr = np.trace(matrix)
     if abs(tr - 1) > TRACE_TOL:
         raise ValueError(f"trace: expected 1, got {np.complex128(tr):.15g}")
-    lo = np.linalg.eigvalsh(matrix).min()
+    # like trace_norm's SVD, a small eigvalsh is faster on one thread
+    limit = _ONE_BLAS_THREAD if len(matrix) <= SINGLE_THREAD_SVD_MAX_N else None
+    with limit or contextlib.nullcontext():
+        lo = np.linalg.eigvalsh(matrix).min()
     if lo < EIGENVALUE_FLOOR:
         raise ValueError(f"positivity: minimum eigenvalue {lo:.3e}")
     matrix.setflags(write=False)
@@ -106,23 +115,39 @@ def density_matrix(matrix: np.ndarray, dim: int, parties: int) -> DensityMatrix:
 def apply_criterion(matrix: np.ndarray, sigma: Permutation, dim: int) -> np.ndarray:
     """Entry map of a slot permutation: B[i_1..i_2r] = A[i_sigma(1)..i_sigma(2r)].
 
-    One transpose of the reshaped tensor, whose axis k // 2 + r * (k % 2)
-    holds 0-based slot k: B's axis for slot sigma(k) is A's for slot k.
-    The identity returns the input unchanged and the global transpose returns
-    the matrix transpose; every image has the same entry multiset as A.
+    The one-factor case of :func:`slot_image`.  The identity returns the
+    input unchanged and the global transpose returns the matrix transpose;
+    every image has the same entry multiset as A.
     """
-    r = sigma.parties
-    n = dim**r
+    n = dim**sigma.parties
     matrix = np.asarray(matrix)
     if matrix.shape != (n, n):
         raise ValueError(
-            f"matrix is {matrix.shape}, expected {n}x{n} for d={dim}, r={r}"
+            f"matrix is {matrix.shape}, expected {n}x{n} for d={dim}, r={sigma.parties}"
         )
-    axes = [0] * (2 * r)
-    for k, image in enumerate(sigma.images):
-        axes[(image - 1) // 2 + r * ((image - 1) % 2)] = k // 2 + r * (k % 2)
-    tensor = matrix.reshape((dim,) * (2 * r)).transpose(axes)
-    return np.ascontiguousarray(tensor.reshape(n, n))
+    return slot_image(matrix, sigma.images, dim)
+
+
+def slot_image(matrix: np.ndarray, positions: tuple[int, ...], dim: int) -> np.ndarray:
+    """A square matrix on p parties with its 2p slots moved to ``positions``.
+
+    Slot k (1-based) goes to position positions[k-1].  The image's rows are
+    indexed by the odd positions and its columns by the even ones, each in
+    ascending order, so it is d^#odd x d^#even.  When ``positions`` is a
+    whole slot permutation this is its entry map; when it is the run of a
+    permutation's images that one tensor factor's slots cover, it is that
+    factor's share of the image, which is the Kronecker product of the
+    factors' shares up to a reordering of rows and of columns.  One
+    transpose of the reshaped tensor, whose axis k // 2 + p * (k % 2)
+    holds 0-based slot k.
+    """
+    slots = len(positions)
+    # output axes: odd positions first, then even ones, each ascending
+    order = sorted(range(slots), key=lambda k: (1 - positions[k] % 2, positions[k]))
+    axes = [k // 2 + slots // 2 * (k % 2) for k in order]
+    rows = dim ** sum(p % 2 for p in positions)
+    tensor = np.asarray(matrix).reshape((dim,) * slots).transpose(axes)
+    return np.ascontiguousarray(tensor.reshape(rows, -1))
 
 
 class _OneBlasThread:
@@ -185,16 +210,16 @@ _ONE_BLAS_THREAD = _probe_openblas()
 
 
 def trace_norm(matrix: np.ndarray) -> float:
-    """Sum of singular values, from a values-only SVD.
+    """Sum of singular values of an m x n matrix, from a values-only SVD.
 
-    Every SVD in permsep runs here.  Up to SINGLE_THREAD_SVD_MAX_N the SVD
-    runs on one OpenBLAS thread, which is faster there, and the caller's
-    thread count is restored after.
+    Every SVD in permsep runs here.  Up to SINGLE_THREAD_SVD_MAX_N rows and
+    columns the SVD runs on one OpenBLAS thread, which is faster there, and
+    the caller's thread count is restored after.
     """
     matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"trace norm needs a square matrix, got {matrix.shape}")
-    limit = _ONE_BLAS_THREAD if matrix.shape[0] <= SINGLE_THREAD_SVD_MAX_N else None
+    if matrix.ndim != 2:
+        raise ValueError(f"trace norm needs a 2-D matrix, got shape {matrix.shape}")
+    limit = _ONE_BLAS_THREAD if max(matrix.shape) <= SINGLE_THREAD_SVD_MAX_N else None
     with limit or contextlib.nullcontext():
         return float(np.linalg.svd(matrix, compute_uv=False).sum())
 
@@ -292,12 +317,15 @@ def random_separable(
 
 
 def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Kronecker product with concatenated party structure (equal local dims)."""
+    """Kronecker product with concatenated party structure (equal local dims).
+
+    The result records its factors, flattened, so that class norms can be
+    computed factor by factor.
+    """
     if a.dim != b.dim:
         raise ValueError(f"local dimensions differ: {a.dim} vs {b.dim}")
-    return density_matrix(
-        np.kron(a.matrix, b.matrix), a.dim, a.parties + b.parties
-    )
+    rho = density_matrix(np.kron(a.matrix, b.matrix), a.dim, a.parties + b.parties)
+    return replace(rho, factors=(a.factors or (a,)) + (b.factors or (b,)))
 
 
 def maximally_mixed(dim: int, parties: int = 1) -> DensityMatrix:

@@ -326,6 +326,9 @@ def test_beta_sweep_json(capsys):
     assert len(data["classes"]) == 23
     assert data["rows"]["QT"] == 0.0
     assert data["rows"]["2R"] > data["rows"]["R"] > 0
+    # byte for byte the output of the dense sweep, before class norms of
+    # product states were taken factor by factor
+    assert out == (Path(__file__).parent / "data" / "beta_sweep.json").read_text()
 
 
 @pytest.mark.parametrize("argv,expected", [
@@ -339,6 +342,19 @@ def test_module_entry_point_exit_codes(argv, expected):
         text=True,
     )
     assert proc.returncode == expected, proc.stderr
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_a_closed_stdout_exits_141_without_a_traceback(fmt):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "permsep", "enumerate", "--parties", "8", "--format", fmt],
+        env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()  # as `| head -1` does, with most of the output unwritten
+    _, err = proc.communicate(timeout=120)
+    assert first == (b"[\n" if fmt == "json" else b"3299 classes for r=8\n")
+    assert (proc.returncode, err) == (141, b"")
 
 
 def _src_env():

@@ -1,5 +1,6 @@
 """Numerics: the entry map, trace norms, state constructors, file format."""
 
+import itertools
 import json
 import sys
 import threading
@@ -33,6 +34,7 @@ from permsep.states import (
     random_unitary,
     reorder_parties,
     simplex_weights,
+    slot_image,
     state_from_dict,
     state_to_dict,
     tensor_product,
@@ -152,9 +154,13 @@ def test_trace_norm_simple_values():
     assert abs(trace_norm(np.diag([0.5, -0.5])) - 1) < 1e-12
 
 
-def test_trace_norm_rejects_non_square():
-    with pytest.raises(ValueError):
-        trace_norm(np.ones((2, 3)))
+def test_trace_norm_of_a_rectangular_matrix():
+    for bad in (np.ones(3), np.ones((2, 2, 2)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="2-D"):
+            trace_norm(bad)
+    # rank one: the only singular value is the Frobenius norm
+    assert abs(trace_norm(np.ones((2, 3))) - np.sqrt(6)) < 1e-15
+    assert abs(trace_norm(np.ones((3, 2))) - np.sqrt(6)) < 1e-15
 
 
 def test_partially_transposed_bell_norm_two():
@@ -223,10 +229,32 @@ def test_trace_norm_limits_small_svds_and_restores_thread_count(blas_limit, monk
     monkeypatch.setattr(np.linalg, "svd", spy)
     trace_norm(np.eye(SINGLE_THREAD_SVD_MAX_N) / SINGLE_THREAD_SVD_MAX_N)
     trace_norm(np.eye(SINGLE_THREAD_SVD_MAX_N + 1) / (SINGLE_THREAD_SVD_MAX_N + 1))
-    assert seen == [1, before]
+    # a rectangular matrix is limited by its longer side
+    trace_norm(np.ones((SINGLE_THREAD_SVD_MAX_N, 2)))
+    trace_norm(np.ones((2, SINGLE_THREAD_SVD_MAX_N + 1)))
+    trace_norm(np.ones((SINGLE_THREAD_SVD_MAX_N + 1, 2)))
+    assert seen == [1, before, 1, before, before]
     assert blas_limit.get() == before
     with pytest.raises(np.linalg.LinAlgError):
         trace_norm(np.full((8, 8), np.nan))
+    assert blas_limit.get() == before
+
+
+def test_small_states_are_validated_on_one_thread(blas_limit, monkeypatch):
+    before = blas_limit.get()
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(matrix, *args, **kwargs):
+        seen.append(blas_limit.get())
+        return eigvalsh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    maximally_mixed(2, 8)  # n = 256
+    maximally_mixed(17, 2)  # n = 289
+    with pytest.raises(ValueError, match="positivity"):
+        density_matrix(np.diag([1.5, -0.5]), 2, 1)
+    assert seen == [1, before, 1]
     assert blas_limit.get() == before
 
 
@@ -363,6 +391,50 @@ def test_tensor_product_structure():
     assert prod.size == 27
     with pytest.raises(ValueError):
         tensor_product(chessboard_state(), maximally_mixed(2))
+
+
+def test_tensor_product_records_flattened_factors():
+    rng = np.random.default_rng(101)
+    a, b, c = (random_state(2, r, rng) for r in (1, 2, 1))
+    ab = tensor_product(a, b)
+    assert ab.factors == (a, b)
+    assert tensor_product(ab, c).factors == (a, b, c)
+    assert tensor_product(c, ab).factors == (c, a, b)
+    assert tensor_product(ab, ab).factors == (a, b, a, b)
+    assert np.array_equal(tensor_product(ab, c).matrix, np.kron(ab.matrix, c.matrix))
+
+
+def test_other_states_have_no_factors(tmp_path):
+    ab = tensor_product(bell_state(), bell_state())
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state_to_dict(ab)))
+    for rho in (
+        density_matrix(ab.matrix, 2, 4),
+        mix_with_noise(ab, 0.0),
+        reorder_parties(ab, [1, 2, 3, 4]),
+        load_state(path),
+        chessboard_state(),
+        random_state(2, 2, np.random.default_rng(103)),
+    ):
+        assert rho.factors == ()
+
+
+def test_a_factor_share_keeps_the_positions_it_is_given():
+    # one party's two slots sent to positions 3 and 5 (both rows): the
+    # share is a d^2 x 1 column holding the factor's entries in row-major order
+    factor = random_state(3, 1, np.random.default_rng(107)).matrix
+    share = slot_image(factor, (3, 5), 3)
+    assert share.shape == (9, 1)
+    assert np.array_equal(share[:, 0], factor.ravel())
+    # to positions 6 and 1: the row slot lands on a column and vice versa
+    assert np.array_equal(slot_image(factor, (6, 1), 3), factor.T)
+    # a two-party factor with slots 1..4 sent to positions 2, 7, 4, 1: rows
+    # are positions 1, 7 (slots 4, 2), columns positions 2, 4 (slots 1, 3)
+    pair = random_state(2, 2, np.random.default_rng(109)).matrix
+    share = slot_image(pair, (2, 7, 4, 1), 2)
+    tensor = pair.reshape(2, 2, 2, 2)  # axes hold slots 1, 3, 2, 4
+    for i1, i2, i3, i4 in itertools.product(range(2), repeat=4):  # slot digits
+        assert share[2 * i4 + i2, 2 * i1 + i3] == tensor[i1, i3, i2, i4]
 
 
 def test_ancilla_keeps_realignment_norm():

@@ -1,5 +1,6 @@
 """Harness: brute-force oracle, verification suites, evaluation reports."""
 
+import functools
 import itertools
 import json
 import multiprocessing
@@ -8,7 +9,13 @@ import numpy as np
 import pytest
 
 from permsep import verify
-from permsep.criteria import arrows_and_loops, enumerate_classes, to_permutation
+from permsep.criteria import (
+    Role,
+    arrows_and_loops,
+    canonical_roles,
+    enumerate_classes,
+    to_permutation,
+)
 from permsep.perms import compose, global_transpose
 from permsep.states import (
     apply_criterion,
@@ -18,6 +25,7 @@ from permsep.states import (
     mix_with_noise,
     random_pure_vector,
     random_state,
+    reorder_parties,
     tensor_product,
     trace_norm,
 )
@@ -238,6 +246,73 @@ def test_evaluate_report_json_keys():
     assert data["entangled"] is True
 
 
+# --- product states ------------------------------------------------------------------
+
+def _random_real_state(d, r, rng):
+    a = rng.standard_normal((d**r, d**r))
+    return density_matrix(a @ a.T / np.trace(a @ a.T), d, r)
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("d,splits", [
+    (2, (1, 2)), (2, (2, 2)), (2, (3, 2)), (2, (1, 1, 2)),
+    (3, (1, 2)), (3, (2, 2)), (3, (1, 1, 2)),
+])
+def test_product_norms_equal_the_dense_ones(monkeypatch, d, splits, real):
+    rng = np.random.default_rng([d, *splits, real])
+    make = _random_real_state if real else random_state
+    factors = [make(d, parties, rng) for parties in splits]
+    rho = functools.reduce(tensor_product, factors)
+    dense = density_matrix(functools.reduce(np.kron, [f.matrix for f in factors]),
+                           d, sum(splits))
+    assert rho.factors == tuple(factors) and dense.factors == ()
+    expected = class_norms(dense)
+    shapes = []  # SVDs of the product state's norms
+
+    def counted(matrix):
+        shapes.append(matrix.shape)
+        return trace_norm(matrix)
+
+    monkeypatch.setattr(verify, "trace_norm", counted)
+    norms = class_norms(rho)
+    assert [cls for cls, _ in norms] == [cls for cls, _ in expected]
+    assert max(abs(a - b) for (_, a), (_, b) in zip(norms, expected)) <= 1e-13
+    # one SVD per factor and class, none of the whole image
+    assert len(shapes) == len(factors) * len(norms)
+    assert dense.matrix.shape not in shapes
+
+
+def _lift(rho, pure, k):
+    """rho with a one-party state inserted as party k."""
+    r = rho.parties + 1
+    if k == 1:
+        return tensor_product(pure, rho)
+    if k == r:
+        return tensor_product(rho, pure)
+    # party j of the result is party order[j - 1] of rho (x) pure
+    return reorder_parties(tensor_product(rho, pure), [*range(1, k), r, *range(k, r)])
+
+
+@pytest.mark.parametrize("d,r", [(2, 2), (2, 3), (2, 4), (3, 3)])
+def test_a_pure_party_lifts_every_free_or_loop_class(d, r):
+    # a class that is Free or Loop at party k has, on rho (x) (a pure state
+    # at k), the norm of its restriction to the other parties on rho: the
+    # pure state and its transpose both have trace norm 1
+    rng = np.random.default_rng([d, r, 5])
+    rho = random_state(d, r - 1, rng)
+    ket = random_pure_vector(d, rng)
+    pure = density_matrix(np.outer(ket, ket.conj()), d, 1)
+    restricted = {cls.roles: norm for cls, norm in class_norms(rho)}
+    lifted = 0
+    for k in range(1, r + 1):
+        for cls, norm in class_norms(_lift(rho, pure, k)):
+            if cls.roles[k - 1] in (Role.FREE, Role.LOOP):
+                rest = canonical_roles(cls.roles[:k - 1] + cls.roles[k:])
+                assert abs(norm - restricted[rest]) <= 1e-13
+                lifted += 1
+    assert lifted >= r * len(restricted)
+
+
 # --- beta sweep ---------------------------------------------------------------------
 
 def test_two_copy_chessboard_norms_at_zero_noise():
@@ -315,12 +390,12 @@ def test_beta_sweep_matches_the_grid_scan():
 
 
 def _counting_svd(monkeypatch):
-    """Route numpy's SVDs through a recorder of (with vectors?, dtype)."""
+    """Route numpy's SVDs through a recorder of (with vectors?, dtype, shape)."""
     calls = []
     svd = np.linalg.svd
 
     def counting(a, full_matrices=True, compute_uv=True, **kwargs):
-        calls.append((compute_uv, a.dtype))
+        calls.append((compute_uv, a.dtype, a.shape))
         return svd(a, full_matrices, compute_uv, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
@@ -330,11 +405,16 @@ def _counting_svd(monkeypatch):
 def test_beta_sweep_needs_one_svd_per_silent_class(monkeypatch):
     calls = _counting_svd(monkeypatch)
     beta_sweep()
-    # one SVD at beta = 0 for each of the 23 classes; each of the 6 that
-    # fire adds a probe and secant steps, 22 in all; beta = 1 needs no SVD
-    assert len(calls) <= 45
-    assert not any(vectors for vectors, _ in calls)
-    assert {dtype for _, dtype in calls} == {np.dtype(np.float64)}
+    # at beta = 0 each of the 23 classes takes one SVD per chessboard
+    # factor, of at most 81 entries; each of the 6 that fire adds a probe and
+    # secant steps on the dense 81 x 81 image, 20 in all; beta = 1 needs none
+    dense = [shape for _, _, shape in calls if shape == (81, 81)]
+    factor = [shape for _, _, shape in calls if shape != (81, 81)]
+    assert len(dense) <= 22
+    assert len(factor) == 2 * 23
+    assert all(m * n <= 81 for m, n in factor)
+    assert not any(vectors for vectors, _, _ in calls)
+    assert {dtype for _, dtype, _ in calls} == {np.dtype(np.float64)}
 
 
 def _bisection_threshold(low, high, tolerance):
@@ -502,7 +582,8 @@ def pool_on_two_cores(monkeypatch):
 
 @pytest.mark.parametrize("make", [
     lambda: random_state(2, 4, np.random.default_rng(83)),
-    lambda: tensor_product(chessboard_state(), chessboard_state()),  # real
+    # real, and not a product: a product's norms never reach the pool
+    lambda: mix_with_noise(tensor_product(chessboard_state(), chessboard_state()), 0.1),
 ], ids=["complex-d2", "real-d3"])
 def test_pooled_norms_equal_the_serial_ones(pool_on_two_cores, monkeypatch, make):
     rho = make()
@@ -519,6 +600,12 @@ def test_pooled_norms_equal_the_serial_ones(pool_on_two_cores, monkeypatch, make
     monkeypatch.setattr(verify, "POOL_MIN_WORK", float("inf"))
     assert pooled == class_norms(rho)
     assert [cls.class_id for cls, _ in pooled] == list(range(len(pooled)))
+
+
+def test_a_product_state_never_starts_the_pool(pool_on_two_cores):
+    rng = np.random.default_rng(113)
+    class_norms(tensor_product(random_state(2, 2, rng), random_state(2, 3, rng)))
+    assert verify._pool is None
 
 
 def test_a_killed_worker_loses_no_norm(pool_on_two_cores, monkeypatch):
