@@ -212,14 +212,19 @@ _ONE_BLAS_THREAD = _probe_openblas()
 def trace_norm(matrix: np.ndarray) -> float:
     """Sum of singular values of an m x n matrix, from a values-only SVD.
 
-    Every SVD in permsep runs here.  Up to SINGLE_THREAD_SVD_MAX_N rows and
-    columns the SVD runs on one OpenBLAS thread, which is faster there, and
-    the caller's thread count is restored after.
+    A stack of shape (..., m, n) stands for the block-diagonal matrix of its
+    m x n blocks: its trace norm is the sum of every block's singular
+    values, from one SVD call over the stack.  Every SVD in permsep runs
+    here.  Up to SINGLE_THREAD_SVD_MAX_N rows and columns per block the SVD
+    runs on one OpenBLAS thread, which is faster there, and the caller's
+    thread count is restored after.
     """
     matrix = np.asarray(matrix)
-    if matrix.ndim != 2:
-        raise ValueError(f"trace norm needs a 2-D matrix, got shape {matrix.shape}")
-    limit = _ONE_BLAS_THREAD if max(matrix.shape) <= SINGLE_THREAD_SVD_MAX_N else None
+    if matrix.ndim < 2:
+        raise ValueError(
+            f"trace norm needs a 2-D matrix or a stack of them, got shape {matrix.shape}"
+        )
+    limit = _ONE_BLAS_THREAD if max(matrix.shape[-2:]) <= SINGLE_THREAD_SVD_MAX_N else None
     with limit or contextlib.nullcontext():
         return float(np.linalg.svd(matrix, compute_uv=False).sum())
 

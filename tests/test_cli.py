@@ -331,6 +331,17 @@ def test_beta_sweep_json(capsys):
     assert out == (Path(__file__).parent / "data" / "beta_sweep.json").read_text()
 
 
+@pytest.mark.parametrize("fmt,suffix", [("table", "txt"), ("json", "json")])
+@pytest.mark.parametrize("tol", ["1e-7", "1e-5", "1e-3"])
+def test_beta_sweep_output_is_the_recorded_one(capsys, tol, fmt, suffix):
+    # byte for byte the output of the sweep on dense images, before the
+    # searches of product states' classes ran on block-diagonal images
+    code, out, _ = run(capsys, "beta-sweep", "--tol", tol, "--format", fmt)
+    assert code == 0
+    golden = Path(__file__).parent / "data" / f"beta_sweep_tol_{tol}.{suffix}"
+    assert out == golden.read_text()
+
+
 @pytest.mark.parametrize("argv,expected", [
     (["count", "--parties", "3"], 0),
     (["verify", "rule5", "--parties", "2", "--samples", "1", "--tol", "1e-300"], 1),

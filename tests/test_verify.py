@@ -19,6 +19,7 @@ from permsep.criteria import (
 from permsep.perms import compose, global_transpose
 from permsep.states import (
     apply_criterion,
+    bell_state,
     chessboard_state,
     density_matrix,
     maximally_mixed,
@@ -407,10 +408,13 @@ def test_beta_sweep_needs_one_svd_per_silent_class(monkeypatch):
     beta_sweep()
     # at beta = 0 each of the 23 classes takes one SVD per chessboard
     # factor, of at most 81 entries; each of the 6 that fire adds a probe and
-    # secant steps on the dense 81 x 81 image, 20 in all; beta = 1 needs none
-    dense = [shape for _, _, shape in calls if shape == (81, 81)]
-    factor = [shape for _, _, shape in calls if shape != (81, 81)]
-    assert len(dense) <= 22
+    # secant steps.  The four R and R+QT classes keep one copy on its own
+    # slots, so theirs run on stacks of nine 9 x 9 blocks, 12 in all; 2R and
+    # R+R' keep neither copy and take 6 dense 81 x 81 SVDs; beta = 1 needs none
+    shapes = [shape for _, _, shape in calls]
+    assert shapes.count((81, 81)) == 6
+    assert shapes.count((9, 9, 9)) == 12
+    factor = [shape for shape in shapes if shape not in ((81, 81), (9, 9, 9))]
     assert len(factor) == 2 * 23
     assert all(m * n <= 81 for m, n in factor)
     assert not any(vectors for vectors, _, _ in calls)
@@ -484,6 +488,56 @@ def test_noise_thresholds_match_bisection_on_curved_families(monkeypatch, d, r):
             monkeypatch.undo()
             fired += 1
     assert fired >= 6
+
+
+def _block_family(d, splits):
+    """A product of a pure state and noisy pure states on the given splits."""
+    rng = np.random.default_rng([d, *splits, 13])
+    factors = [_noisy_pure_family(d, splits[0], rng.integers(100))]
+    factors += [mix_with_noise(_noisy_pure_family(d, parties, rng.integers(100)), 0.1)
+                for parties in splits[1:]]
+    return functools.reduce(tensor_product, factors)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: tensor_product(bell_state(), bell_state()),
+    lambda: tensor_product(chessboard_state(), chessboard_state()),
+    lambda: _block_family(2, (1, 2)),
+    lambda: _block_family(2, (2, 2)),
+    lambda: _block_family(2, (1, 1, 2)),
+    lambda: _block_family(3, (1, 2)),
+    lambda: _block_family(3, (2, 1)),
+], ids=["bell2", "chessboard2", "d2-1+2", "d2-2+2", "d2-1+1+2", "d3-1+2", "d3-2+1"])
+def test_block_thresholds_equal_the_dense_bisection(monkeypatch, make):
+    # a class that keeps every party of some factor on its own two slots
+    # searches on block-diagonal images; its norms are the dense images'
+    # to rounding, and its thresholds the dense bisection's
+    rho = make()
+    noise = maximally_mixed(rho.dim, rho.parties).matrix
+    blocked = 0
+    for cls, norm in class_norms(rho):
+        sigma = to_permutation(cls)
+        images = verify._block_images(rho.factors, sigma)
+        if images is None:
+            continue
+        low = apply_criterion(rho.matrix, sigma, rho.dim)
+        high = apply_criterion(noise, sigma, rho.dim)
+        for beta in (0.0, 2.0**-10, 0.3, 1.0):
+            block = trace_norm((1 - beta) * images[0] + beta * images[1])
+            assert abs(block - trace_norm((1 - beta) * low + beta * high)) <= 1e-13
+        blocked += norm > 1 + 1e-9
+    assert blocked >= 1
+    shapes = []
+
+    def counted(matrix):
+        shapes.append(np.shape(matrix))
+        return trace_norm(matrix)
+
+    monkeypatch.setattr(verify, "trace_norm", counted)
+    thresholds = noise_thresholds(rho, 1e-9)
+    monkeypatch.undo()
+    assert any(len(shape) == 3 for shape in shapes)
+    assert thresholds == _bisection_thresholds(rho)
 
 
 def test_noise_threshold_below_the_probe_is_the_bisection_one():
