@@ -143,7 +143,7 @@ def _cmd_evaluate(args) -> int:
             print(f"error: state has {key}={actual}, expected {expected}", file=sys.stderr)
             return USAGE_ERROR
     class_ids = None
-    if args.classes:
+    if args.classes is not None:
         try:
             class_ids = [int(v) for v in args.classes.split(",")]
         except ValueError:

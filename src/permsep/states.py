@@ -42,7 +42,9 @@ class DensityMatrix:
 
     ``factors`` holds the states whose Kronecker product ``matrix`` is, in
     party order, when :func:`tensor_product` built it, and is empty
-    otherwise; each factor has no factors of its own.
+    otherwise; each factor has no factors of its own.  Code that works
+    factor by factor reads ``rho.factors or (rho,)``: a state without
+    factors is a product of one.
     """
 
     matrix: np.ndarray
@@ -112,41 +114,35 @@ def density_matrix(matrix: np.ndarray, dim: int, parties: int) -> DensityMatrix:
     return DensityMatrix(matrix=matrix, dim=dim, parties=parties)
 
 
-def apply_criterion(matrix: np.ndarray, sigma: Permutation, dim: int) -> np.ndarray:
+def apply_criterion(
+    matrix: np.ndarray, sigma: Permutation | tuple[int, ...], dim: int
+) -> np.ndarray:
     """Entry map of a slot permutation: B[i_1..i_2r] = A[i_sigma(1)..i_sigma(2r)].
 
-    The one-factor case of :func:`slot_image`.  The identity returns the
-    input unchanged and the global transpose returns the matrix transpose;
-    every image has the same entry multiset as A.
+    ``sigma`` is a :class:`Permutation` or, for one tensor factor on p
+    parties, the run of a permutation's images that the factor's 2p slots
+    cover: slot k (1-based) goes to position sigma[k-1].  The image's rows
+    are indexed by the odd positions and its columns by the even ones, each
+    in ascending order, so a factor's share is d^#odd x d^#even, and the
+    image of a product is the Kronecker product of its factors' shares up
+    to a reordering of rows and of columns.  The identity returns the input
+    unchanged and the global transpose returns the matrix transpose; every
+    image has the same entry multiset as A.
     """
-    n = dim**sigma.parties
+    positions = sigma.images if isinstance(sigma, Permutation) else sigma
+    slots = len(positions)
+    n = dim ** (slots // 2)
     matrix = np.asarray(matrix)
     if matrix.shape != (n, n):
         raise ValueError(
-            f"matrix is {matrix.shape}, expected {n}x{n} for d={dim}, r={sigma.parties}"
+            f"matrix is {matrix.shape}, expected {n}x{n} for d={dim}, r={slots // 2}"
         )
-    return slot_image(matrix, sigma.images, dim)
-
-
-def slot_image(matrix: np.ndarray, positions: tuple[int, ...], dim: int) -> np.ndarray:
-    """A square matrix on p parties with its 2p slots moved to ``positions``.
-
-    Slot k (1-based) goes to position positions[k-1].  The image's rows are
-    indexed by the odd positions and its columns by the even ones, each in
-    ascending order, so it is d^#odd x d^#even.  When ``positions`` is a
-    whole slot permutation this is its entry map; when it is the run of a
-    permutation's images that one tensor factor's slots cover, it is that
-    factor's share of the image, which is the Kronecker product of the
-    factors' shares up to a reordering of rows and of columns.  One
-    transpose of the reshaped tensor, whose axis k // 2 + p * (k % 2)
-    holds 0-based slot k.
-    """
-    slots = len(positions)
-    # output axes: odd positions first, then even ones, each ascending
+    # axis k // 2 + slots // 2 * (k % 2) of the reshaped matrix holds 0-based
+    # slot k; the output axes are the odd positions, then the even ones
     order = sorted(range(slots), key=lambda k: (1 - positions[k] % 2, positions[k]))
     axes = [k // 2 + slots // 2 * (k % 2) for k in order]
     rows = dim ** sum(p % 2 for p in positions)
-    tensor = np.asarray(matrix).reshape((dim,) * slots).transpose(axes)
+    tensor = matrix.reshape((dim,) * slots).transpose(axes)
     return np.ascontiguousarray(tensor.reshape(rows, -1))
 
 
@@ -324,8 +320,8 @@ def random_separable(
 def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product with concatenated party structure (equal local dims).
 
-    The result records its factors, flattened, so that class norms can be
-    computed factor by factor.
+    The result records its factors, flattened, so that class norms and
+    noise images take one share of each factor in place of the whole image.
     """
     if a.dim != b.dim:
         raise ValueError(f"local dimensions differ: {a.dim} vs {b.dim}")

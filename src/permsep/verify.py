@@ -31,7 +31,6 @@ from .states import (
     chessboard_state,
     density_matrix,
     random_state,
-    slot_image,
     tensor_product,
     trace_norm,
 )
@@ -127,64 +126,63 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _norm_chunk(matrix: np.ndarray, dim: int, perms: list) -> list[float]:
-    """Trace norms of a matrix's images under a run of permutations.  Both
-    the calling process and the pool's workers run this, so a norm has the
-    same bits whichever process computed it."""
-    return [trace_norm(apply_criterion(matrix, sigma, dim)) for sigma in perms]
+def _norm_chunk(factors: tuple[DensityMatrix, ...], perms: list) -> list[float]:
+    """Trace norms of the images of the product of ``factors`` (``(rho,)``
+    for a state without factors) under a run of permutations.
 
-
-def _product_norm(factors: tuple[DensityMatrix, ...], sigma) -> float:
-    """Trace norm of a product state's image, as the product of its factors'.
-
-    The image of rho_1 (x) rho_2 (x) ... is, up to a reordering of rows
-    and of columns, the Kronecker product of each factor's share of it
-    (see ``slot_image``), and the trace norm of a Kronecker product is the
-    product of the factors' trace norms.
+    Each image is, up to a reordering of rows and of columns, the Kronecker
+    product of its factors' shares (see ``apply_criterion``), so its trace
+    norm is the product of theirs.  Both the calling process and the pool's
+    workers run this, so a norm has the same bits whichever process
+    computed it.
     """
-    norm, start = 1.0, 0
-    for factor in factors:
-        stop = start + 2 * factor.parties
-        norm *= trace_norm(slot_image(factor.matrix, sigma.images[start:stop], factor.dim))
-        start = stop
-    return norm
+    norms = []
+    for sigma in perms:
+        norm, start = 1.0, 0
+        for factor in factors:
+            stop = start + 2 * factor.parties
+            share = apply_criterion(factor.matrix, sigma.images[start:stop], factor.dim)
+            norm *= trace_norm(share)
+            start = stop
+        norms.append(norm)
+    return norms
 
 
-def _block_images(factors: tuple[DensityMatrix, ...], sigma):
-    """Block-diagonal noise images of a product state's class, or None.
+def _noise_images(rho: DensityMatrix, sigma):
+    """The images (low, high) of rho and of I/n under a class's permutation.
 
-    A factor that keeps each of its parties on that party's own two slots
-    (role F or L there) has a partial transpose H as its share of the
-    image, and I/m as its share of I/n.  Up to a reordering of rows and of
-    columns, (1 - beta) * rho + beta * I/n then maps to
+    A factor of rho (rho itself when it has none) that keeps each of its
+    parties on that party's own two slots (role F or L there) has a
+    partial transpose H as its share of the image, and I/m as its share of
+    I/n.  Up to a reordering of rows and of columns,
+    (1 - beta) * rho + beta * I/n then maps to
     (1 - beta) * H (x) A + beta * I/M (x) N, where H is the Kronecker
     product of all such factors' shares, M its size, and A and N are the
     other factors' shares of rho and of I/m_k.  H is Hermitian, so in its
     eigenbasis this is block-diagonal, with block j equal to
     (1 - beta) * h_j * A + (beta / M) * N for the eigenvalues h of H.
     Returns the stacks (h_j * A for every j, N / M), which ``trace_norm``
-    reads as block-diagonal matrices, or None when no factor keeps its
-    slots.
+    reads as block-diagonal matrices, or the dense 2-D images A and N when
+    no factor keeps its slots.
     """
-    split, rest = [], []  # (factor, the positions of its slots)
+    eigenvalues, low, high = [], np.ones((1, 1)), np.ones((1, 1))
     start = 0
-    for factor in factors:
+    for factor in rho.factors or (rho,):
         stop = start + 2 * factor.parties
         positions = sigma.images[start:stop]
+        share = apply_criterion(factor.matrix, positions, factor.dim)
         # 0-based slot s of the state belongs to party s // 2, and 1-based
         # position p to party (p - 1) // 2
-        own = all((p - 1) // 2 == (start + k) // 2 for k, p in enumerate(positions))
-        (split if own else rest).append((factor, positions))
+        if all((p - 1) // 2 == (start + k) // 2 for k, p in enumerate(positions)):
+            eigenvalues.append(np.linalg.eigvalsh(share))
+        else:
+            noise = np.eye(factor.size) / factor.size
+            low = np.kron(low, share)
+            high = np.kron(high, apply_criterion(noise, positions, factor.dim))
         start = stop
-    if not split:
-        return None
-    h = functools.reduce(np.kron, [np.linalg.eigvalsh(slot_image(f.matrix, positions, f.dim))
-                                   for f, positions in split])
-    low, high = np.ones((1, 1)), np.ones((1, 1))
-    for f, positions in rest:
-        m = len(f.matrix)
-        low = np.kron(low, slot_image(f.matrix, positions, f.dim))
-        high = np.kron(high, slot_image(np.eye(m) / m, positions, f.dim))
+    if not eigenvalues:
+        return low, high
+    h = functools.reduce(np.kron, eigenvalues)
     return h[:, None, None] * low, (high / len(h))[None]
 
 
@@ -225,9 +223,8 @@ def _drop_pool(executor) -> None:
     executor.shutdown()
 
 
-def _pooled_norms(executor, workers: int, matrix: np.ndarray, dim: int,
-                  perms: list) -> list[float]:
-    """``_norm_chunk`` over all of ``perms``, shared with the pool's workers.
+def _pooled_norms(executor, workers: int, rho: DensityMatrix, perms: list) -> list[float]:
+    """``_norm_chunk`` of ``(rho,)`` over ``perms``, shared with the pool's workers.
 
     The workers take chunks from the front, at most two waiting or running
     per worker, while this process computes one image at a time from the
@@ -240,7 +237,7 @@ def _pooled_norms(executor, workers: int, matrix: np.ndarray, dim: int,
     """
     from concurrent.futures.process import BrokenProcessPool
 
-    size = max(1, int(CHUNK_WORK / len(matrix) ** 3))
+    size = max(1, int(CHUNK_WORK / rho.size**3))
     norms: list = [None] * len(perms)
     sent = []  # (start, stop, future) of each chunk sent
     broken = False
@@ -249,7 +246,7 @@ def _pooled_norms(executor, workers: int, matrix: np.ndarray, dim: int,
         if not broken and sum(not f.done() for *_, f in sent) < 2 * workers:
             stop = lo + max(1, min(size, (hi - lo) // (2 * (workers + 1))))
             try:
-                future = executor.submit(_norm_chunk, matrix, dim, perms[lo:stop])
+                future = executor.submit(_norm_chunk, (rho,), perms[lo:stop])
             except BrokenProcessPool:
                 broken = True
             else:
@@ -257,13 +254,13 @@ def _pooled_norms(executor, workers: int, matrix: np.ndarray, dim: int,
                 lo = stop
         else:
             hi -= 1
-            norms[hi:hi + 1] = _norm_chunk(matrix, dim, perms[hi:hi + 1])
+            norms[hi:hi + 1] = _norm_chunk((rho,), perms[hi:hi + 1])
     for start, stop, future in sent:
         try:
             norms[start:stop] = future.result()
         except BrokenProcessPool:
             broken = True
-            norms[start:stop] = _norm_chunk(matrix, dim, perms[start:stop])
+            norms[start:stop] = _norm_chunk((rho,), perms[start:stop])
     if broken:
         _drop_pool(executor)
     return norms
@@ -274,26 +271,24 @@ def class_norms(
 ) -> list[tuple[CriterionClass, float]]:
     """Trace norm of every permuted image of a state, in enumeration order.
 
-    A state built by ``tensor_product`` takes each norm as the product of
-    its factors' (``_product_norm``): one small SVD per factor, in this
-    process, in place of one of the whole image.  For any other state, a
-    call with enough SVDs of at most SINGLE_THREAD_SVD_MAX_N shares them
-    with a process pool of one worker per usable core but one (see
-    ``POOL_MIN_WORK``); the norms are the same bits either way.  Workers
-    start with ``spawn``, which imports the caller's main module again, so
-    a script that gets here at r >= 7 needs an ``if __name__ == "__main__":``
-    guard.
+    Each norm is the product of the factors' (``_norm_chunk``), and a state
+    without factors is its own one factor, so a ``tensor_product`` state
+    takes one small SVD per factor in place of one of the whole image.  It
+    runs in this process; for any other state, a call with enough SVDs of
+    at most SINGLE_THREAD_SVD_MAX_N shares them with a process pool of one
+    worker per usable core but one (see ``POOL_MIN_WORK``); the norms are
+    the same bits either way.  Workers start with ``spawn``, which imports
+    the caller's main module again, so a script that gets here at r >= 7
+    needs an ``if __name__ == "__main__":`` guard.
     """
     if classes is None:
         classes = enumerate_classes(rho.parties)
     perms = [to_permutation(cls) for cls in classes]
-    if rho.factors:
-        return [(cls, _product_norm(rho.factors, sigma)) for cls, sigma in zip(classes, perms)]
-    pool = _start_pool(len(perms), rho.size)
+    pool = None if rho.factors else _start_pool(len(perms), rho.size)
     if pool is None:
-        norms = _norm_chunk(rho.matrix, rho.dim, perms)
+        norms = _norm_chunk(rho.factors or (rho,), perms)
     else:
-        norms = _pooled_norms(*pool, rho.matrix, rho.dim, perms)
+        norms = _pooled_norms(*pool, rho, perms)
     return list(zip(classes, norms))
 
 
@@ -545,30 +540,23 @@ def noise_thresholds(
     The beta = 0 norms come from :func:`class_norms`, which settles each
     class that does not fire; a class that fires hands its beta = 0 norm to
     a secant search that finds, in a few SVDs, the threshold a 44-step
-    bisection on the same norms finds.  The search runs on the dense
-    images, except for a class of a ``tensor_product`` state that keeps
-    every party of some factor on its own two slots: there it runs on the
-    block-diagonal images of ``_block_images``, whose blocks are the size
-    of the other factors' shares and whose norms are the dense images' to
-    rounding.  Every SVD is values-only.  The noise image has norm
+    bisection on the same norms finds.  The search runs on the images of
+    ``_noise_images``: for a class that keeps every party of some factor
+    on its own two slots (a state without factors is its own one factor,
+    so on any state a class whose roles are all F and L), they are
+    block-diagonal, with blocks the size of the other factors' shares and
+    norms the dense images' to rounding; for any other class they are the
+    dense images.  Every SVD is values-only.  The noise image has norm
     d^-#arrows <= 1, so beta = 1 never fires, and the norm is convex in
     beta, so the betas that fire form one interval starting at 0.
     """
     _check_positive_finite("tolerance", tolerance)
-    noise = np.eye(rho.size) / rho.size
     bound = 1 + tolerance
-    thresholds = []
-    for cls, norm in class_norms(rho):
-        if norm > bound:
-            sigma = to_permutation(cls)
-            images = _block_images(rho.factors, sigma)
-            if images is None:
-                images = (apply_criterion(rho.matrix, sigma, rho.dim),
-                          apply_criterion(noise, sigma, rho.dim))
-            thresholds.append((cls, _noise_threshold(*images, norm, bound)))
-        else:
-            thresholds.append((cls, 0.0))
-    return thresholds
+    return [
+        (cls, _noise_threshold(*_noise_images(rho, to_permutation(cls)), norm, bound)
+         if norm > bound else 0.0)
+        for cls, norm in class_norms(rho)
+    ]
 
 
 def beta_sweep(steps: int = 12, tolerance: float = 1e-9) -> BetaSweepReport:
@@ -578,12 +566,12 @@ def beta_sweep(steps: int = 12, tolerance: float = 1e-9) -> BetaSweepReport:
     qutrits, and each class's threshold comes from :func:`noise_thresholds`:
     safeguarded secant steps on the convex norm, snapped to the grid of
     2^-BISECT_ITERS, equal to the 44-step bisection's thresholds on the same
-    norms.  The state is a tensor product, so each class's beta = 0 norm
-    takes two SVDs of at most 81 entries.  Of the 6 classes that fire, the
-    four R and R+QT classes keep one copy on its own slots and search on
-    stacks of nine 9 x 9 blocks, 12 SVD calls in all, and 2R and R+R' take
-    6 SVDs of 81 x 81, against 287 for bisection on dense images; every
-    SVD is values-only.
+    norms.  The state is a tensor product of two factors, so each class's
+    beta = 0 norm takes two SVDs of at most 81 entries.  Of the 6 classes
+    that fire, the four R and R+QT classes keep one copy on its own slots
+    and search on stacks of nine 9 x 9 blocks, 12 SVD calls in all, and 2R
+    and R+R' take 6 SVDs of 81 x 81, against 287 for bisection on dense
+    images; every SVD is values-only.
     Partial-transpose classes never fire: the PPT chessboard stays PPT
     under tensor products and noise.
     ``steps`` is validated and reported but does not change a threshold.

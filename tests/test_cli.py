@@ -167,6 +167,14 @@ def test_evaluate_rejects_a_repeated_class_id(capsys):
     assert err == "error: class id 1 given twice\n"
 
 
+@pytest.mark.parametrize("classes", ["", "1,x"])
+def test_evaluate_rejects_a_bad_class_list(capsys, classes):
+    code, out, err = run(capsys, "evaluate", "--builtin", "bell", "--classes", classes)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad --classes list {classes!r}\n"
+
+
 def test_evaluate_missing_file(capsys):
     code, _, err = run(capsys, "evaluate", "--state", "/nonexistent.json")
     assert code == 2

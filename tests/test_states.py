@@ -34,7 +34,6 @@ from permsep.states import (
     random_unitary,
     reorder_parties,
     simplex_weights,
-    slot_image,
     state_from_dict,
     state_to_dict,
     tensor_product,
@@ -125,6 +124,9 @@ def test_apply_preserves_entry_multiset():
 def test_apply_rejects_size_mismatch():
     with pytest.raises(ValueError):
         apply_criterion(np.eye(3), identity(2), 2)
+    # a run of four positions covers the slots of a two-party factor
+    with pytest.raises(ValueError, match=r"expected 4x4 for d=2, r=2"):
+        apply_criterion(np.eye(8) / 8, (2, 7, 4, 1), 2)
 
 
 def test_hermitian_conjugation_identity():
@@ -432,15 +434,15 @@ def test_a_factor_share_keeps_the_positions_it_is_given():
     # one party's two slots sent to positions 3 and 5 (both rows): the
     # share is a d^2 x 1 column holding the factor's entries in row-major order
     factor = random_state(3, 1, np.random.default_rng(107)).matrix
-    share = slot_image(factor, (3, 5), 3)
+    share = apply_criterion(factor, (3, 5), 3)
     assert share.shape == (9, 1)
     assert np.array_equal(share[:, 0], factor.ravel())
     # to positions 6 and 1: the row slot lands on a column and vice versa
-    assert np.array_equal(slot_image(factor, (6, 1), 3), factor.T)
+    assert np.array_equal(apply_criterion(factor, (6, 1), 3), factor.T)
     # a two-party factor with slots 1..4 sent to positions 2, 7, 4, 1: rows
     # are positions 1, 7 (slots 4, 2), columns positions 2, 4 (slots 1, 3)
     pair = random_state(2, 2, np.random.default_rng(109)).matrix
-    share = slot_image(pair, (2, 7, 4, 1), 2)
+    share = apply_criterion(pair, (2, 7, 4, 1), 2)
     tensor = pair.reshape(2, 2, 2, 2)  # axes hold slots 1, 3, 2, 4
     for i1, i2, i3, i4 in itertools.product(range(2), repeat=4):  # slot digits
         assert share[2 * i4 + i2, 2 * i1 + i3] == tensor[i1, i3, i2, i4]

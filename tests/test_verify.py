@@ -507,18 +507,23 @@ def _block_family(d, splits):
     lambda: _block_family(2, (1, 1, 2)),
     lambda: _block_family(3, (1, 2)),
     lambda: _block_family(3, (2, 1)),
-], ids=["bell2", "chessboard2", "d2-1+2", "d2-2+2", "d2-1+1+2", "d3-1+2", "d3-2+1"])
+    lambda: _noisy_pure_family(2, 3, 0),
+    lambda: _noisy_pure_family(3, 2, 1),
+], ids=["bell2", "chessboard2", "d2-1+2", "d2-2+2", "d2-1+1+2", "d3-1+2", "d3-2+1",
+        "d2-3", "d3-2"])
 def test_block_thresholds_equal_the_dense_bisection(monkeypatch, make):
     # a class that keeps every party of some factor on its own two slots
     # searches on block-diagonal images; its norms are the dense images'
-    # to rounding, and its thresholds the dense bisection's
+    # to rounding, and its thresholds the dense bisection's.  A state
+    # without factors is its own one factor, so its classes of roles F and
+    # L only search on n blocks of 1 x 1
     rho = make()
     noise = maximally_mixed(rho.dim, rho.parties).matrix
     blocked = 0
     for cls, norm in class_norms(rho):
         sigma = to_permutation(cls)
-        images = verify._block_images(rho.factors, sigma)
-        if images is None:
+        images = verify._noise_images(rho, sigma)
+        if images[0].ndim == 2:
             continue
         low = apply_criterion(rho.matrix, sigma, rho.dim)
         high = apply_criterion(noise, sigma, rho.dim)
@@ -537,6 +542,8 @@ def test_block_thresholds_equal_the_dense_bisection(monkeypatch, make):
     thresholds = noise_thresholds(rho, 1e-9)
     monkeypatch.undo()
     assert any(len(shape) == 3 for shape in shapes)
+    if not rho.factors:
+        assert (rho.size, 1, 1) in shapes
     assert thresholds == _bisection_thresholds(rho)
 
 
