@@ -40,17 +40,17 @@ SINGLE_THREAD_SVD_MAX_N = 256
 class DensityMatrix:
     """A validated quantum state: d^r x d^r, Hermitian, unit trace, PSD.
 
-    ``factors`` holds the states whose Kronecker product ``matrix`` is, in
-    party order, when :func:`tensor_product` built it, and is empty
-    otherwise; each factor has no factors of its own.  Code that works
-    factor by factor reads ``rho.factors or (rho,)``: a state without
-    factors is a product of one.
+    ``blocks`` holds (positions, matrix) pairs, one per tensor factor:
+    party k of ``matrix`` (1-based) is party positions[k-1] of the state,
+    and the state is the product of the blocks.  :func:`density_matrix`
+    sets one block on all parties; :func:`tensor_product` and
+    :func:`reorder_parties` keep the blocks of their inputs.
     """
 
     matrix: np.ndarray
     dim: int
     parties: int
-    factors: tuple[DensityMatrix, ...] = ()
+    blocks: tuple[tuple[tuple[int, ...], np.ndarray], ...]
 
     @property
     def size(self) -> int:
@@ -111,7 +111,8 @@ def density_matrix(matrix: np.ndarray, dim: int, parties: int) -> DensityMatrix:
     if lo < EIGENVALUE_FLOOR:
         raise ValueError(f"positivity: minimum eigenvalue {lo:.3e}")
     matrix.setflags(write=False)
-    return DensityMatrix(matrix=matrix, dim=dim, parties=parties)
+    blocks = ((tuple(range(1, parties + 1)), matrix),)
+    return DensityMatrix(matrix=matrix, dim=dim, parties=parties, blocks=blocks)
 
 
 def apply_criterion(
@@ -119,13 +120,13 @@ def apply_criterion(
 ) -> np.ndarray:
     """Entry map of a slot permutation: B[i_1..i_2r] = A[i_sigma(1)..i_sigma(2r)].
 
-    ``sigma`` is a :class:`Permutation` or, for one tensor factor on p
-    parties, the run of a permutation's images that the factor's 2p slots
-    cover: slot k (1-based) goes to position sigma[k-1].  The image's rows
-    are indexed by the odd positions and its columns by the even ones, each
-    in ascending order, so a factor's share is d^#odd x d^#even, and the
-    image of a product is the Kronecker product of its factors' shares up
-    to a reordering of rows and of columns.  The identity returns the input
+    ``sigma`` is a :class:`Permutation` or, for one block on p parties, the
+    images of a permutation that the block's 2p slots reach: slot k
+    (1-based) goes to position sigma[k-1].  The image's rows are indexed by
+    the odd positions and its columns by the even ones, each in ascending
+    order, so a block's share is d^#odd x d^#even, and the image of a
+    product is the Kronecker product of its blocks' shares up to a
+    reordering of rows and of columns.  The identity returns the input
     unchanged and the global transpose returns the matrix transpose; every
     image has the same entry multiset as A.
     """
@@ -320,13 +321,15 @@ def random_separable(
 def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product with concatenated party structure (equal local dims).
 
-    The result records its factors, flattened, so that class norms and
-    noise images take one share of each factor in place of the whole image.
+    The result's blocks are a's, then b's with their positions shifted by
+    a's party count, so that class norms and noise images take one share
+    of each block in place of the whole image.
     """
     if a.dim != b.dim:
         raise ValueError(f"local dimensions differ: {a.dim} vs {b.dim}")
     rho = density_matrix(np.kron(a.matrix, b.matrix), a.dim, a.parties + b.parties)
-    return replace(rho, factors=(a.factors or (a,)) + (b.factors or (b,)))
+    shifted = tuple((tuple(p + a.parties for p in pos), m) for pos, m in b.blocks)
+    return replace(rho, blocks=a.blocks + shifted)
 
 
 def maximally_mixed(dim: int, parties: int = 1) -> DensityMatrix:
@@ -348,7 +351,8 @@ def mix_with_noise(rho: DensityMatrix, beta: float) -> DensityMatrix:
 def reorder_parties(rho: DensityMatrix, order: list[int]) -> DensityMatrix:
     """Relabel subsystems: party j of the result is party order[j-1] of the
     input (1-based).  Moves each party's row and column slot together, a
-    norm-preserving relabeling."""
+    norm-preserving relabeling, and maps each block's positions the same
+    way, so a relabeled product keeps its blocks."""
     r = rho.parties
     if sorted(order) != list(range(1, r + 1)):
         raise ValueError(f"order {order} is not a permutation of 1..{r}")
@@ -357,7 +361,9 @@ def reorder_parties(rho: DensityMatrix, order: list[int]) -> DensityMatrix:
         images[2 * src - 2] = 2 * j - 1
         images[2 * src - 1] = 2 * j
     moved = apply_criterion(rho.matrix, Permutation(tuple(images)), rho.dim)
-    return density_matrix(moved, rho.dim, rho.parties)
+    # party p of the input is party images[2p - 1] // 2 of the result
+    blocks = tuple((tuple(images[2 * p - 1] // 2 for p in pos), m) for pos, m in rho.blocks)
+    return replace(density_matrix(moved, rho.dim, rho.parties), blocks=blocks)
 
 
 BUILTIN_STATES = {"chessboard": chessboard_state, "bell": bell_state}

@@ -126,24 +126,22 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _norm_chunk(factors: tuple[DensityMatrix, ...], perms: list) -> list[float]:
-    """Trace norms of the images of the product of ``factors`` (``(rho,)``
-    for a state without factors) under a run of permutations.
+def _norm_chunk(rho: DensityMatrix, perms: list) -> list[float]:
+    """Trace norms of the images of rho under a run of permutations.
 
     Each image is, up to a reordering of rows and of columns, the Kronecker
-    product of its factors' shares (see ``apply_criterion``), so its trace
-    norm is the product of theirs.  Both the calling process and the pool's
-    workers run this, so a norm has the same bits whichever process
-    computed it.
+    product of the shares of rho's blocks (see ``apply_criterion``), so its
+    trace norm is the product of theirs.  A block on parties p takes the
+    images of slots 2p - 1 and 2p, in block order.  Both the calling process
+    and the pool's workers run this, so a norm has the same bits whichever
+    process computed it.
     """
     norms = []
     for sigma in perms:
-        norm, start = 1.0, 0
-        for factor in factors:
-            stop = start + 2 * factor.parties
-            share = apply_criterion(factor.matrix, sigma.images[start:stop], factor.dim)
-            norm *= trace_norm(share)
-            start = stop
+        norm = 1.0
+        for positions, matrix in rho.blocks:
+            slots = tuple(q for p in positions for q in sigma.images[2 * p - 2:2 * p])
+            norm *= trace_norm(apply_criterion(matrix, slots, rho.dim))
         norms.append(norm)
     return norms
 
@@ -151,35 +149,30 @@ def _norm_chunk(factors: tuple[DensityMatrix, ...], perms: list) -> list[float]:
 def _noise_images(rho: DensityMatrix, sigma):
     """The images (low, high) of rho and of I/n under a class's permutation.
 
-    A factor of rho (rho itself when it has none) that keeps each of its
-    parties on that party's own two slots (role F or L there) has a
-    partial transpose H as its share of the image, and I/m as its share of
-    I/n.  Up to a reordering of rows and of columns,
-    (1 - beta) * rho + beta * I/n then maps to
+    A block of rho that keeps each of its parties on that party's own two
+    slots (role F or L there) has a partial transpose H as its share of the
+    image, and I/m as its share of I/n.  Up to a reordering of rows and of
+    columns, (1 - beta) * rho + beta * I/n then maps to
     (1 - beta) * H (x) A + beta * I/M (x) N, where H is the Kronecker
-    product of all such factors' shares, M its size, and A and N are the
-    other factors' shares of rho and of I/m_k.  H is Hermitian, so in its
+    product of all such blocks' shares, M its size, and A and N are the
+    other blocks' shares of rho and of I/m_k.  H is Hermitian, so in its
     eigenbasis this is block-diagonal, with block j equal to
     (1 - beta) * h_j * A + (beta / M) * N for the eigenvalues h of H.
     Returns the stacks (h_j * A for every j, N / M), which ``trace_norm``
     reads as block-diagonal matrices, or the dense 2-D images A and N when
-    no factor keeps its slots.
+    no block keeps its slots.
     """
     eigenvalues, low, high = [], np.ones((1, 1)), np.ones((1, 1))
-    start = 0
-    for factor in rho.factors or (rho,):
-        stop = start + 2 * factor.parties
-        positions = sigma.images[start:stop]
-        share = apply_criterion(factor.matrix, positions, factor.dim)
-        # 0-based slot s of the state belongs to party s // 2, and 1-based
-        # position p to party (p - 1) // 2
-        if all((p - 1) // 2 == (start + k) // 2 for k, p in enumerate(positions)):
+    for positions, matrix in rho.blocks:
+        slots = tuple(q for p in positions for q in sigma.images[2 * p - 2:2 * p])
+        share = apply_criterion(matrix, slots, rho.dim)
+        # 1-based position q belongs to party (q + 1) // 2
+        if all((q + 1) // 2 == positions[k // 2] for k, q in enumerate(slots)):
             eigenvalues.append(np.linalg.eigvalsh(share))
         else:
-            noise = np.eye(factor.size) / factor.size
+            noise = np.eye(len(matrix)) / len(matrix)
             low = np.kron(low, share)
-            high = np.kron(high, apply_criterion(noise, positions, factor.dim))
-        start = stop
+            high = np.kron(high, apply_criterion(noise, slots, rho.dim))
     if not eigenvalues:
         return low, high
     h = functools.reduce(np.kron, eigenvalues)
@@ -224,7 +217,7 @@ def _drop_pool(executor) -> None:
 
 
 def _pooled_norms(executor, workers: int, rho: DensityMatrix, perms: list) -> list[float]:
-    """``_norm_chunk`` of ``(rho,)`` over ``perms``, shared with the pool's workers.
+    """``_norm_chunk`` of rho over ``perms``, shared with the pool's workers.
 
     The workers take chunks from the front, at most two waiting or running
     per worker, while this process computes one image at a time from the
@@ -246,7 +239,7 @@ def _pooled_norms(executor, workers: int, rho: DensityMatrix, perms: list) -> li
         if not broken and sum(not f.done() for *_, f in sent) < 2 * workers:
             stop = lo + max(1, min(size, (hi - lo) // (2 * (workers + 1))))
             try:
-                future = executor.submit(_norm_chunk, (rho,), perms[lo:stop])
+                future = executor.submit(_norm_chunk, rho, perms[lo:stop])
             except BrokenProcessPool:
                 broken = True
             else:
@@ -254,13 +247,13 @@ def _pooled_norms(executor, workers: int, rho: DensityMatrix, perms: list) -> li
                 lo = stop
         else:
             hi -= 1
-            norms[hi:hi + 1] = _norm_chunk((rho,), perms[hi:hi + 1])
+            norms[hi:hi + 1] = _norm_chunk(rho, perms[hi:hi + 1])
     for start, stop, future in sent:
         try:
             norms[start:stop] = future.result()
         except BrokenProcessPool:
             broken = True
-            norms[start:stop] = _norm_chunk((rho,), perms[start:stop])
+            norms[start:stop] = _norm_chunk(rho, perms[start:stop])
     if broken:
         _drop_pool(executor)
     return norms
@@ -271,22 +264,23 @@ def class_norms(
 ) -> list[tuple[CriterionClass, float]]:
     """Trace norm of every permuted image of a state, in enumeration order.
 
-    Each norm is the product of the factors' (``_norm_chunk``), and a state
-    without factors is its own one factor, so a ``tensor_product`` state
-    takes one small SVD per factor in place of one of the whole image.  It
-    runs in this process; for any other state, a call with enough SVDs of
-    at most SINGLE_THREAD_SVD_MAX_N shares them with a process pool of one
-    worker per usable core but one (see ``POOL_MIN_WORK``); the norms are
-    the same bits either way.  Workers start with ``spawn``, which imports
-    the caller's main module again, so a script that gets here at r >= 7
-    needs an ``if __name__ == "__main__":`` guard.
+    Each norm is the product of the norms of the blocks' shares
+    (``_norm_chunk``), so a product of several blocks, from
+    ``tensor_product`` and kept by ``reorder_parties``, takes one small SVD
+    per block in place of one of the whole image.  It runs in this process;
+    for a state of one block, a call with enough SVDs of at most
+    SINGLE_THREAD_SVD_MAX_N shares them with a process pool of one worker
+    per usable core but one (see ``POOL_MIN_WORK``); the norms are the same
+    bits either way.  Workers start with ``spawn``, which imports the
+    caller's main module again, so a script that gets here at r >= 7 needs
+    an ``if __name__ == "__main__":`` guard.
     """
     if classes is None:
         classes = enumerate_classes(rho.parties)
     perms = [to_permutation(cls) for cls in classes]
-    pool = None if rho.factors else _start_pool(len(perms), rho.size)
+    pool = None if len(rho.blocks) > 1 else _start_pool(len(perms), rho.size)
     if pool is None:
-        norms = _norm_chunk(rho.factors or (rho,), perms)
+        norms = _norm_chunk(rho, perms)
     else:
         norms = _pooled_norms(*pool, rho, perms)
     return list(zip(classes, norms))
@@ -541,12 +535,11 @@ def noise_thresholds(
     class that does not fire; a class that fires hands its beta = 0 norm to
     a secant search that finds, in a few SVDs, the threshold a 44-step
     bisection on the same norms finds.  The search runs on the images of
-    ``_noise_images``: for a class that keeps every party of some factor
-    on its own two slots (a state without factors is its own one factor,
-    so on any state a class whose roles are all F and L), they are
-    block-diagonal, with blocks the size of the other factors' shares and
-    norms the dense images' to rounding; for any other class they are the
-    dense images.  Every SVD is values-only.  The noise image has norm
+    ``_noise_images``: for a class that keeps every party of some block of
+    rho on its own two slots (on any state, a class whose roles are all F
+    and L), they are stacks of blocks the size of the other blocks' shares,
+    with norms the dense images' to rounding; for any other class they are
+    the dense images.  Every SVD is values-only.  The noise image has norm
     d^-#arrows <= 1, so beta = 1 never fires, and the norm is convex in
     beta, so the betas that fire form one interval starting at 0.
     """
@@ -566,19 +559,20 @@ def beta_sweep(steps: int = 12, tolerance: float = 1e-9) -> BetaSweepReport:
     qutrits, and each class's threshold comes from :func:`noise_thresholds`:
     safeguarded secant steps on the convex norm, snapped to the grid of
     2^-BISECT_ITERS, equal to the 44-step bisection's thresholds on the same
-    norms.  The state is a tensor product of two factors, so each class's
-    beta = 0 norm takes two SVDs of at most 81 entries.  Of the 6 classes
-    that fire, the four R and R+QT classes keep one copy on its own slots
-    and search on stacks of nine 9 x 9 blocks, 12 SVD calls in all, and 2R
-    and R+R' take 6 SVDs of 81 x 81, against 287 for bisection on dense
-    images; every SVD is values-only.
-    Partial-transpose classes never fire: the PPT chessboard stays PPT
-    under tensor products and noise.
+    norms.  The state is the tensor product of one chessboard with itself,
+    two blocks that share one matrix, so each class's beta = 0 norm takes
+    two SVDs of at most 81 entries.  Of the 6 classes that fire, the four R
+    and R+QT classes keep one copy on its own slots and search on stacks
+    of nine 9 x 9 blocks, 12 SVD calls in all, and 2R and R+R' take 6 SVDs
+    of 81 x 81, against 287 for bisection on dense images; every SVD is
+    values-only.  Partial-transpose classes never fire: the PPT chessboard
+    stays PPT under tensor products and noise.
     ``steps`` is validated and reported but does not change a threshold.
     """
     if steps < 10:
         raise ValueError(f"steps must be >= 10, got {steps}")
-    base = tensor_product(chessboard_state(), chessboard_state())
+    chessboard = chessboard_state()
+    base = tensor_product(chessboard, chessboard)
     thresholds = tuple(
         (cls.class_id, cls.label, beta)
         for cls, beta in noise_thresholds(base, tolerance)

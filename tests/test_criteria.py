@@ -5,6 +5,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permsep.criteria import (
     Role,
@@ -236,6 +238,29 @@ def test_every_permutation_classifies_r3():
     for images in itertools.permutations(range(1, 7)):
         ids.add(class_of(Permutation(images)).class_id)
     assert ids == set(range(7))
+
+
+def _parity_roles(sigma):
+    """Party k's role read from the parities of sigma(2k - 1) and sigma(2k)."""
+    role = {(1, 0): Role.FREE, (0, 1): Role.LOOP, (1, 1): Role.HEAD, (0, 0): Role.TAIL}
+    im = sigma.images
+    return tuple(role[im[2 * k] % 2, im[2 * k + 1] % 2] for k in range(sigma.parties))
+
+
+def test_parity_roles_classify_every_permutation_r1_to_r3():
+    # closed-form classification: the class of a permutation is the
+    # canonical form of the role word its images' parities spell
+    for r in (1, 2, 3):
+        for images in itertools.permutations(range(1, 2 * r + 1)):
+            sigma = Permutation(images)
+            assert canonicalize(_parity_roles(sigma)) == class_of(sigma)
+
+
+@settings(max_examples=200)
+@given(st.integers(4, 6).flatmap(lambda r: st.permutations(range(1, 2 * r + 1))))
+def test_parity_roles_classify_drawn_permutations_r4_to_r6(images):
+    sigma = Permutation(tuple(images))
+    assert canonicalize(_parity_roles(sigma)) == class_of(sigma)
 
 
 # --- labels ---------------------------------------------------------------------

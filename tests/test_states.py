@@ -404,30 +404,39 @@ def test_tensor_product_structure():
         tensor_product(chessboard_state(), maximally_mixed(2))
 
 
-def test_tensor_product_records_flattened_factors():
+def test_tensor_product_concatenates_shifted_blocks():
     rng = np.random.default_rng(101)
     a, b, c = (random_state(2, r, rng) for r in (1, 2, 1))
+
+    def layout(rho):
+        # each block's positions, and which of a, b, c holds its matrix
+        return [(pos, next(k for k, x in zip("abc", (a, b, c)) if m is x.matrix))
+                for pos, m in rho.blocks]
+
     ab = tensor_product(a, b)
-    assert ab.factors == (a, b)
-    assert tensor_product(ab, c).factors == (a, b, c)
-    assert tensor_product(c, ab).factors == (c, a, b)
-    assert tensor_product(ab, ab).factors == (a, b, a, b)
+    assert layout(ab) == [((1,), "a"), ((2, 3), "b")]
+    assert layout(tensor_product(ab, c)) == [((1,), "a"), ((2, 3), "b"), ((4,), "c")]
+    assert layout(tensor_product(c, ab)) == [((1,), "c"), ((2,), "a"), ((3, 4), "b")]
+    assert layout(tensor_product(ab, ab)) == [
+        ((1,), "a"), ((2, 3), "b"), ((4,), "a"), ((5, 6), "b")
+    ]
     assert np.array_equal(tensor_product(ab, c).matrix, np.kron(ab.matrix, c.matrix))
 
 
-def test_other_states_have_no_factors(tmp_path):
+def test_other_states_have_one_block(tmp_path):
     ab = tensor_product(bell_state(), bell_state())
     path = tmp_path / "state.json"
     path.write_text(json.dumps(state_to_dict(ab)))
     for rho in (
         density_matrix(ab.matrix, 2, 4),
         mix_with_noise(ab, 0.0),
-        reorder_parties(ab, [1, 2, 3, 4]),
         load_state(path),
         chessboard_state(),
         random_state(2, 2, np.random.default_rng(103)),
     ):
-        assert rho.factors == ()
+        [(positions, matrix)] = rho.blocks
+        assert positions == tuple(range(1, rho.parties + 1))
+        assert matrix is rho.matrix
 
 
 def test_a_factor_share_keeps_the_positions_it_is_given():

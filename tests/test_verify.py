@@ -266,7 +266,8 @@ def test_product_norms_equal_the_dense_ones(monkeypatch, d, splits, real):
     rho = functools.reduce(tensor_product, factors)
     dense = density_matrix(functools.reduce(np.kron, [f.matrix for f in factors]),
                            d, sum(splits))
-    assert rho.factors == tuple(factors) and dense.factors == ()
+    assert all(m is f.matrix for (_, m), f in zip(rho.blocks, factors, strict=True))
+    assert len(dense.blocks) == 1
     expected = class_norms(dense)
     shapes = []  # SVDs of the product state's norms
 
@@ -281,6 +282,37 @@ def test_product_norms_equal_the_dense_ones(monkeypatch, d, splits, real):
     # one SVD per factor and class, none of the whole image
     assert len(shapes) == len(factors) * len(norms)
     assert dense.matrix.shape not in shapes
+
+
+@pytest.mark.parametrize("d,r_a,r_b", [(2, 2, 1), (2, 2, 2), (3, 1, 2), (2, 3, 2)])
+def test_reordered_product_norms_equal_the_dense_ones(monkeypatch, d, r_a, r_b):
+    # a relabeled product keeps its two blocks at the parties they moved
+    # to, and takes its norms block by block, never from the whole image
+    rng = np.random.default_rng([d, r_a, r_b, 17])
+    a, b = random_state(d, r_a, rng), random_state(d, r_b, rng)
+    r = r_a + r_b
+    for _ in range(3):
+        order = [int(p) + 1 for p in rng.permutation(r)]
+        rho = reorder_parties(tensor_product(a, b), order)
+        # party j of rho is party order[j - 1] of a (x) b
+        moved = tuple(order.index(p) + 1 for p in range(1, r + 1))
+        assert [pos for pos, _ in rho.blocks] == [moved[:r_a], moved[r_a:]]
+        assert all(m is x.matrix for (_, m), x in zip(rho.blocks, (a, b)))
+        dense = density_matrix(rho.matrix, d, r)
+        expected = class_norms(dense)
+        shapes = []
+
+        def counted(matrix):
+            shapes.append(matrix.shape)
+            return trace_norm(matrix)
+
+        monkeypatch.setattr(verify, "trace_norm", counted)
+        norms = class_norms(rho)
+        monkeypatch.undo()
+        assert [cls for cls, _ in norms] == [cls for cls, _ in expected]
+        assert max(abs(x - y) for (_, x), (_, y) in zip(norms, expected)) <= 1e-12
+        assert len(shapes) == 2 * len(norms)
+        assert dense.matrix.shape not in shapes
 
 
 def _lift(rho, pure, k):
@@ -507,23 +539,28 @@ def _block_family(d, splits):
     lambda: _block_family(2, (1, 1, 2)),
     lambda: _block_family(3, (1, 2)),
     lambda: _block_family(3, (2, 1)),
+    lambda: reorder_parties(_block_family(2, (2, 2)), [1, 3, 2, 4]),
+    lambda: reorder_parties(_block_family(3, (2, 1)), [1, 3, 2]),
     lambda: _noisy_pure_family(2, 3, 0),
     lambda: _noisy_pure_family(3, 2, 1),
 ], ids=["bell2", "chessboard2", "d2-1+2", "d2-2+2", "d2-1+1+2", "d3-1+2", "d3-2+1",
-        "d2-3", "d3-2"])
+        "d2-2+2-moved", "d3-2+1-moved", "d2-3", "d3-2"])
 def test_block_thresholds_equal_the_dense_bisection(monkeypatch, make):
-    # a class that keeps every party of some factor on its own two slots
+    # a class that keeps every party of some block on its own two slots
     # searches on block-diagonal images; its norms are the dense images'
-    # to rounding, and its thresholds the dense bisection's.  A state
-    # without factors is its own one factor, so its classes of roles F and
-    # L only search on n blocks of 1 x 1
+    # to rounding, and its thresholds the dense bisection's.  On a state of
+    # one block, the classes of roles F and L only search on n blocks of 1 x 1
     rho = make()
     noise = maximally_mixed(rho.dim, rho.parties).matrix
     blocked = 0
     for cls, norm in class_norms(rho):
         sigma = to_permutation(cls)
         images = verify._noise_images(rho, sigma)
-        if images[0].ndim == 2:
+        # the stack is taken exactly when some block's parties are all F or L
+        kept = any(all(cls.roles[p - 1] in (Role.FREE, Role.LOOP) for p in pos)
+                   for pos, _ in rho.blocks)
+        assert images[0].ndim == (3 if kept else 2)
+        if not kept:
             continue
         low = apply_criterion(rho.matrix, sigma, rho.dim)
         high = apply_criterion(noise, sigma, rho.dim)
@@ -542,7 +579,7 @@ def test_block_thresholds_equal_the_dense_bisection(monkeypatch, make):
     thresholds = noise_thresholds(rho, 1e-9)
     monkeypatch.undo()
     assert any(len(shape) == 3 for shape in shapes)
-    if not rho.factors:
+    if len(rho.blocks) == 1:
         assert (rho.size, 1, 1) in shapes
     assert thresholds == _bisection_thresholds(rho)
 
