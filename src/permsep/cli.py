@@ -1,14 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a verification assertion failed, 2 usage or
-state-file errors, 141 (128 + SIGPIPE) stdout closed early under
-``python -m permsep``.
+state-file errors, 141 (128 + SIGPIPE) stdout closed early, under the
+``permsep`` script and ``python -m permsep``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .criteria import (
@@ -250,5 +251,18 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
 
 
+def run() -> None:
+    """Entry point of the ``permsep`` script and ``python -m permsep``."""
+    try:
+        code = main()
+        sys.stdout.flush()  # inside the try, so a closed pipe is caught here
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`): silence the flush at exit and
+        # exit as a shell reports a process killed by SIGPIPE, 128 + 13
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,4 +1,4 @@
-"""Dense matrices with party structure and the slot-permutation map.
+"""States stored as blocks with party structure, and the slot-permutation map.
 
 Index layout (fixed once, everything else depends on it): a matrix on r
 subsystems of local dimension d is indexed by 2r digits i_1 .. i_2r, each in
@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import json
 import math
 import numbers
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,16 +39,15 @@ SINGLE_THREAD_SVD_MAX_N = 256
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A validated quantum state: d^r x d^r, Hermitian, unit trace, PSD.
+    """A quantum state on r parties of local dimension d, stored as its blocks.
 
-    ``blocks`` holds (positions, matrix) pairs, one per tensor factor:
-    party k of ``matrix`` (1-based) is party positions[k-1] of the state,
+    ``blocks`` holds (positions, matrix) pairs, one per tensor factor: party
+    k of a block's matrix (1-based) is party positions[k-1] of the state,
     and the state is the product of the blocks.  :func:`density_matrix`
-    sets one block on all parties; :func:`tensor_product` and
-    :func:`reorder_parties` keep the blocks of their inputs.
+    validates each block; :func:`tensor_product` and :func:`reorder_parties`
+    only concatenate and relabel blocks, so a product keeps its blocks.
     """
 
-    matrix: np.ndarray
     dim: int
     parties: int
     blocks: tuple[tuple[tuple[int, ...], np.ndarray], ...]
@@ -55,6 +55,16 @@ class DensityMatrix:
     @property
     def size(self) -> int:
         return self.dim**self.parties
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Kronecker product of the blocks in block order, each party then moved
+        to its position; one block on parties 1..r in order is its own array."""
+        dense = functools.reduce(np.kron, [m for _, m in self.blocks])
+        flat = [p for pos, _ in self.blocks for p in pos]
+        if flat == list(range(1, self.parties + 1)):
+            return dense
+        return apply_criterion(dense, [s for p in flat for s in (2 * p - 1, 2 * p)], self.dim)
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim}, parties={self.parties})"
@@ -70,9 +80,9 @@ def _is_power(n: int, dim: int, parties: int) -> bool:
 
 
 def density_matrix(matrix: np.ndarray, dim: int, parties: int) -> DensityMatrix:
-    """Validate and wrap a raw matrix, naming the violated invariant on failure.
+    """Validate a raw matrix as a state's one block, naming any broken invariant.
 
-    The state keeps a private read-only copy: float64 when no entry has a
+    The block is a private read-only copy: float64 when no entry has a
     nonzero imaginary part, so its images run real SVDs, else complex128.
     """
     if dim < 2:
@@ -111,8 +121,7 @@ def density_matrix(matrix: np.ndarray, dim: int, parties: int) -> DensityMatrix:
     if lo < EIGENVALUE_FLOOR:
         raise ValueError(f"positivity: minimum eigenvalue {lo:.3e}")
     matrix.setflags(write=False)
-    blocks = ((tuple(range(1, parties + 1)), matrix),)
-    return DensityMatrix(matrix=matrix, dim=dim, parties=parties, blocks=blocks)
+    return DensityMatrix(dim, parties, ((tuple(range(1, parties + 1)), matrix),))
 
 
 def apply_criterion(
@@ -176,29 +185,23 @@ class _OneBlasThread:
 
 
 def _probe_openblas() -> _OneBlasThread | None:
-    """The thread limit for the OpenBLAS numpy loaded, or None where there
-    is none to find (no /proc, MKL, Accelerate)."""
+    """The thread limit for the OpenBLAS that numpy's SVD calls, found through
+    numpy's linalg extension and the libraries it links, so that another copy
+    (scipy's, say) is never taken; None where there is none (MKL, Accelerate)."""
     try:
-        with open("/proc/self/maps") as fh:
-            fields = [line.split(maxsplit=5) for line in fh]
-    except OSError:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
         return None
-    paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()}
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                try:
-                    get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
-                    set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
-                except AttributeError:
-                    continue
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return _OneBlasThread(get, set_)
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            try:
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return _OneBlasThread(get, set_)
     return None
 
 
@@ -319,17 +322,16 @@ def random_separable(
 
 
 def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Kronecker product with concatenated party structure (equal local dims).
+    """The product state a (x) b on a's parties then b's (equal local dims).
 
-    The result's blocks are a's, then b's with their positions shifted by
-    a's party count, so that class norms and noise images take one share
-    of each block in place of the whole image.
+    Its blocks are a's, then b's with their positions shifted by a's party
+    count, with nothing multiplied out or validated again; class norms and
+    noise images take one share of each block in place of the whole image.
     """
     if a.dim != b.dim:
         raise ValueError(f"local dimensions differ: {a.dim} vs {b.dim}")
-    rho = density_matrix(np.kron(a.matrix, b.matrix), a.dim, a.parties + b.parties)
     shifted = tuple((tuple(p + a.parties for p in pos), m) for pos, m in b.blocks)
-    return replace(rho, blocks=a.blocks + shifted)
+    return DensityMatrix(a.dim, a.parties + b.parties, a.blocks + shifted)
 
 
 def maximally_mixed(dim: int, parties: int = 1) -> DensityMatrix:
@@ -350,20 +352,15 @@ def mix_with_noise(rho: DensityMatrix, beta: float) -> DensityMatrix:
 
 def reorder_parties(rho: DensityMatrix, order: list[int]) -> DensityMatrix:
     """Relabel subsystems: party j of the result is party order[j-1] of the
-    input (1-based).  Moves each party's row and column slot together, a
-    norm-preserving relabeling, and maps each block's positions the same
-    way, so a relabeled product keeps its blocks."""
+    input (1-based).  Only the blocks' positions are mapped, so a relabeled
+    product keeps its blocks; :attr:`DensityMatrix.matrix` moves each
+    party's row and column slot together, a norm-preserving relabeling."""
     r = rho.parties
     if sorted(order) != list(range(1, r + 1)):
         raise ValueError(f"order {order} is not a permutation of 1..{r}")
-    images = [0] * (2 * r)
-    for j, src in enumerate(order, start=1):
-        images[2 * src - 2] = 2 * j - 1
-        images[2 * src - 1] = 2 * j
-    moved = apply_criterion(rho.matrix, Permutation(tuple(images)), rho.dim)
-    # party p of the input is party images[2p - 1] // 2 of the result
-    blocks = tuple((tuple(images[2 * p - 1] // 2 for p in pos), m) for pos, m in rho.blocks)
-    return replace(density_matrix(moved, rho.dim, rho.parties), blocks=blocks)
+    where = {src: j for j, src in enumerate(order, start=1)}
+    blocks = tuple((tuple(where[p] for p in pos), m) for pos, m in rho.blocks)
+    return DensityMatrix(rho.dim, r, blocks)
 
 
 BUILTIN_STATES = {"chessboard": chessboard_state, "bell": bell_state}

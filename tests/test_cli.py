@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -363,17 +364,26 @@ def test_module_entry_point_exit_codes(argv, expected):
     assert proc.returncode == expected, proc.stderr
 
 
+def _script_entry():
+    """``python`` arguments that call the ``permsep`` script's entry point,
+    as named in pyproject.toml, the way an installed script calls it."""
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, func = re.search(r'^permsep = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    return ["-c", f"import sys; from {module} import {func}; sys.exit({func}())"]
+
+
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_a_closed_stdout_exits_141_without_a_traceback(fmt):
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "permsep", "enumerate", "--parties", "8", "--format", fmt],
-        env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
-    first = proc.stdout.readline()
-    proc.stdout.close()  # as `| head -1` does, with most of the output unwritten
-    _, err = proc.communicate(timeout=120)
-    assert first == (b"[\n" if fmt == "json" else b"3299 classes for r=8\n")
-    assert (proc.returncode, err) == (141, b"")
+    for entry in (["-m", "permsep"], _script_entry()):
+        proc = subprocess.Popen(
+            [sys.executable, *entry, "enumerate", "--parties", "8", "--format", fmt],
+            env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()  # as `| head -1` does, with most of the output unwritten
+        _, err = proc.communicate(timeout=120)
+        assert first == (b"[\n" if fmt == "json" else b"3299 classes for r=8\n")
+        assert (proc.returncode, err) == (141, b""), entry
 
 
 def _src_env():

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import pickle
 import sys
 import threading
 
@@ -505,6 +506,44 @@ def test_reorder_maps_classes_onto_relabeled_classes(r, order):
             apply_criterion(rho.matrix, to_permutation(tuple(relabeled)), 2)
         )
         assert abs(n_moved - n_orig) < 1e-10
+
+
+
+def _moved(matrix, order, dim):
+    """A relabeling as one dense entry map: party j of the result is party
+    order[j-1] of ``matrix``."""
+    images = [0] * (2 * len(order))
+    for j, src in enumerate(order, start=1):
+        images[2 * src - 2], images[2 * src - 1] = 2 * j - 1, 2 * j
+    return apply_criterion(matrix, Permutation(tuple(images)), dim)
+
+
+def test_products_and_relabels_keep_blocks_without_validating(monkeypatch):
+    rng = np.random.default_rng(113)
+    a, b, c = random_state(2, 2, rng), maximally_mixed(2), random_state(2, 2, rng)
+    dense = np.kron(np.kron(a.matrix, b.matrix), c.matrix)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product or relabel validated a dense matrix")
+
+    monkeypatch.setattr(states, "density_matrix", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    abc = tensor_product(tensor_product(a, b), c)
+    once = reorder_parties(abc, np.array([3, 5, 1, 2, 4]))
+    twice = reorder_parties(once, [2, 1, 5, 3, 4])
+    moved_once = _moved(dense, [3, 5, 1, 2, 4], 2)
+    expected = (dense, moved_once, _moved(moved_once, [2, 1, 5, 3, 4], 2))
+    for rho, want in zip((abc, once, twice), expected, strict=True):
+        assert len(rho.blocks) == 3
+        # bit for bit what multiplying out and moving the dense matrix gives
+        assert rho.matrix.dtype == want.dtype
+        assert rho.matrix.tobytes() == want.tobytes()
+
+
+def test_a_relabeled_state_pickles_one_matrix():
+    rho = random_state(3, 5, np.random.default_rng(127))
+    moved = reorder_parties(rho, [2, 1, 3, 4, 5])
+    assert abs(len(pickle.dumps(moved)) - len(pickle.dumps(rho))) <= 100
 
 
 # --- validation and file format ------------------------------------------------------

@@ -14,6 +14,7 @@ from permsep.criteria import (
     arrows_and_loops,
     canonical_roles,
     enumerate_classes,
+    roles_to_string,
     to_permutation,
 )
 from permsep.perms import compose, global_transpose
@@ -619,6 +620,40 @@ def test_noise_thresholds_cover_every_class():
     with pytest.raises(ValueError, match="tolerance"):
         noise_thresholds(rho, 0.0)
 
+
+def _pure(ket, d, r):
+    return density_matrix(np.outer(ket, ket.conj()), d, r)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_isotropic_thresholds_are_the_closed_form(d):
+    # on (1 - beta) |Phi_d><Phi_d| + beta I/d^2 the partial transpose and the
+    # realignment both have norm d (1 - beta) + beta / d (M. & P. Horodecki,
+    # PRA 59, 4206 (1999)), which falls to 1 + tol at x
+    tol = 1e-9
+    x = d * (1 - tol / (d - 1)) / (d + 1)
+    phi = _pure(np.eye(d).ravel() / np.sqrt(d), d, 2)
+    thresholds = {roles_to_string(cls.roles): beta
+                  for cls, beta in noise_thresholds(phi, tol)}
+    assert set(thresholds) == {"FF", "FL", "HT"}
+    for roles in ("FL", "HT"):
+        assert x - 2.0**-verify.BISECT_ITERS <= thresholds[roles] <= x, roles
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_ghz_partial_transpose_thresholds_are_the_closed_form(r):
+    # every partial transpose of GHZ_r has eigenvalues 1/2, 1/2, 1/2, -1/2 and
+    # 0, so with noise its norm is 1 + (1 - beta) - beta / 2^(r-1) (Dur,
+    # Cirac & Tarrach, PRL 83, 3562 (1999)), which falls to 1 + tol at y
+    tol = 1e-9
+    y = (1 - tol) * 2 ** (r - 1) / (1 + 2 ** (r - 1))
+    ket = np.zeros(2**r)
+    ket[0] = ket[-1] = 1 / np.sqrt(2)
+    cuts = [beta for cls, beta in noise_thresholds(_pure(ket, 2, r), tol)
+            if set(cls.roles) == {Role.FREE, Role.LOOP}]
+    assert len(cuts) == 2 ** (r - 1) - 1  # one class per bipartition
+    for beta in cuts:
+        assert y - 2.0**-verify.BISECT_ITERS <= beta <= y
 
 def test_noise_images_have_norm_d_to_minus_arrows():
     # the premise that lets the sweep skip beta = 1: every class maps I/81
