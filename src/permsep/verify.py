@@ -7,8 +7,8 @@ the enumeration order.
 
 from __future__ import annotations
 
-import functools
 import itertools
+import math
 import os
 import threading
 from dataclasses import dataclass, field
@@ -17,6 +17,7 @@ import numpy as np
 
 from .criteria import (
     CriterionClass,
+    Role,
     classes_by_label,
     count_classes,
     enumerate_classes,
@@ -126,56 +127,48 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _shares(rho: DensityMatrix, sigma):
+    """(positions, slots, share) of each block of rho under sigma, in block
+    order: a block on parties p takes the images of slots 2p - 1 and 2p, and
+    the image of rho is, up to a reordering of rows and of columns, the
+    Kronecker product of the shares (see ``apply_criterion``)."""
+    for positions, matrix in rho.blocks:
+        slots = tuple(q for p in positions for q in sigma.images[2 * p - 2:2 * p])
+        yield positions, slots, apply_criterion(matrix, slots, rho.dim)
+
+
 def _norm_chunk(rho: DensityMatrix, perms: list) -> list[float]:
     """Trace norms of the images of rho under a run of permutations.
 
-    Each image is, up to a reordering of rows and of columns, the Kronecker
-    product of the shares of rho's blocks (see ``apply_criterion``), so its
-    trace norm is the product of theirs.  A block on parties p takes the
-    images of slots 2p - 1 and 2p, in block order.  Both the calling process
-    and the pool's workers run this, so a norm has the same bits whichever
-    process computed it.
+    Each image's trace norm is the product of its ``_shares``' norms, taken
+    in block order from 1.  Both the calling process and the pool's workers
+    run this, so a norm has the same bits whichever process computed it.
     """
-    norms = []
-    for sigma in perms:
-        norm = 1.0
-        for positions, matrix in rho.blocks:
-            slots = tuple(q for p in positions for q in sigma.images[2 * p - 2:2 * p])
-            norm *= trace_norm(apply_criterion(matrix, slots, rho.dim))
-        norms.append(norm)
-    return norms
+    return [math.prod(trace_norm(share) for *_, share in _shares(rho, sigma))
+            for sigma in perms]
 
 
-def _noise_images(rho: DensityMatrix, sigma):
-    """The images (low, high) of rho and of I/n under a class's permutation.
+def _noise_images(rho: DensityMatrix, cls: CriterionClass):
+    """The images (low, high) of rho and of I/n under a class, as stacks.
 
-    A block of rho that keeps each of its parties on that party's own two
-    slots (role F or L there) has a partial transpose H as its share of the
-    image, and I/m as its share of I/n.  Up to a reordering of rows and of
-    columns, (1 - beta) * rho + beta * I/n then maps to
-    (1 - beta) * H (x) A + beta * I/M (x) N, where H is the Kronecker
-    product of all such blocks' shares, M its size, and A and N are the
-    other blocks' shares of rho and of I/m_k.  H is Hermitian, so in its
-    eigenbasis this is block-diagonal, with block j equal to
-    (1 - beta) * h_j * A + (beta / M) * N for the eigenvalues h of H.
-    Returns the stacks (h_j * A for every j, N / M), which ``trace_norm``
-    reads as block-diagonal matrices, or the dense 2-D images A and N when
-    no block keeps its slots.
+    A block whose parties all have role F or L keeps each on its own two
+    slots, so its share is a partial transpose H, and its share of I/n is
+    I/m.  Up to a reordering of rows and of columns, (1 - beta) * rho +
+    beta * I/n then maps to (1 - beta) * H (x) A + beta * I/M (x) N, for H
+    the Kronecker product of such shares, M its size, and A and N the other
+    ``_shares`` of rho and of I/m_k.  H is Hermitian, and in its eigenbasis
+    this is block-diagonal, block j being (1 - beta) * h_j * A +
+    (beta / M) * N, so the stacks are (h_j * A for every j, N / M), which
+    ``trace_norm`` reads as block-diagonal; with no such block, h = (1,).
     """
-    eigenvalues, low, high = [], np.ones((1, 1)), np.ones((1, 1))
-    for positions, matrix in rho.blocks:
-        slots = tuple(q for p in positions for q in sigma.images[2 * p - 2:2 * p])
-        share = apply_criterion(matrix, slots, rho.dim)
-        # 1-based position q belongs to party (q + 1) // 2
-        if all((q + 1) // 2 == positions[k // 2] for k, q in enumerate(slots)):
-            eigenvalues.append(np.linalg.eigvalsh(share))
+    h, low, high = np.ones(1), np.ones((1, 1)), np.ones((1, 1))
+    for positions, slots, share in _shares(rho, to_permutation(cls)):
+        if all(cls.roles[p - 1] in (Role.FREE, Role.LOOP) for p in positions):
+            h = np.kron(h, np.linalg.eigvalsh(share))
         else:
-            noise = np.eye(len(matrix)) / len(matrix)
+            m = rho.dim ** len(positions)
             low = np.kron(low, share)
-            high = np.kron(high, apply_criterion(noise, slots, rho.dim))
-    if not eigenvalues:
-        return low, high
-    h = functools.reduce(np.kron, eigenvalues)
+            high = np.kron(high, apply_criterion(np.eye(m) / m, slots, rho.dim))
     return h[:, None, None] * low, (high / len(h))[None]
 
 
@@ -194,6 +187,8 @@ def _start_pool(images: int, n: int):
     # imported here, so that importing permsep stays as fast as before
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import resource_tracker
+    from multiprocessing.util import Finalize
 
     if multiprocessing.parent_process() is not None:
         return None
@@ -204,6 +199,10 @@ def _start_pool(images: int, n: int):
                 cores - 1, mp_context=multiprocessing.get_context("spawn")
             )
             _pool = (executor, cores - 1)
+            # stop and reap the executor's resource tracker at exit, after every
+            # other finalizer (the lowest is -5): it would outlive this process,
+            # and an unregister after the stop would start another
+            Finalize(None, resource_tracker._resource_tracker._stop, exitpriority=-100)
         return _pool
 
 
@@ -534,19 +533,19 @@ def noise_thresholds(
     The beta = 0 norms come from :func:`class_norms`, which settles each
     class that does not fire; a class that fires hands its beta = 0 norm to
     a secant search that finds, in a few SVDs, the threshold a 44-step
-    bisection on the same norms finds.  The search runs on the images of
-    ``_noise_images``: for a class that keeps every party of some block of
-    rho on its own two slots (on any state, a class whose roles are all F
-    and L), they are stacks of blocks the size of the other blocks' shares,
-    with norms the dense images' to rounding; for any other class they are
-    the dense images.  Every SVD is values-only.  The noise image has norm
-    d^-#arrows <= 1, so beta = 1 never fires, and the norm is convex in
-    beta, so the betas that fire form one interval starting at 0.
+    bisection on the same norms finds, on the stacks of ``_noise_images``:
+    a class in which every party of some block has role F or L (on any
+    state, a class of roles F and L only) searches on blocks the size of
+    the other blocks' shares, with the dense image's norms to rounding, and
+    any other class on a stack of one block, the dense image.  Every SVD is
+    values-only.  The noise image has norm d^-#arrows <= 1, so beta = 1
+    never fires, and the norm is convex in beta, so the betas that fire
+    form one interval starting at 0.
     """
     _check_positive_finite("tolerance", tolerance)
     bound = 1 + tolerance
     return [
-        (cls, _noise_threshold(*_noise_images(rho, to_permutation(cls)), norm, bound)
+        (cls, _noise_threshold(*_noise_images(rho, cls), norm, bound)
          if norm > bound else 0.0)
         for cls, norm in class_norms(rho)
     ]
@@ -564,9 +563,9 @@ def beta_sweep(steps: int = 12, tolerance: float = 1e-9) -> BetaSweepReport:
     two SVDs of at most 81 entries.  Of the 6 classes that fire, the four R
     and R+QT classes keep one copy on its own slots and search on stacks
     of nine 9 x 9 blocks, 12 SVD calls in all, and 2R and R+R' take 6 SVDs
-    of 81 x 81, against 287 for bisection on dense images; every SVD is
-    values-only.  Partial-transpose classes never fire: the PPT chessboard
-    stays PPT under tensor products and noise.
+    on stacks of one 81 x 81 block, against 287 for bisection on dense
+    images; every SVD is values-only.  Partial-transpose classes never
+    fire: the PPT chessboard stays PPT under tensor products and noise.
     ``steps`` is validated and reported but does not change a threshold.
     """
     if steps < 10:

@@ -429,3 +429,43 @@ def test_a_pooled_cli_run_joins_its_workers(tmp_path, capsys):
         os.kill(pids[0], 0)
     # the pooled stdout is the serial one, byte for byte
     assert run(capsys, *argv) == (0, proc.stdout, "")
+
+
+# evaluate with the pool forced on one worker, beside a queue of the caller's
+# own whose semaphores are still registered at exit
+_POOLED_CLI_BESIDE_A_QUEUE = """
+import multiprocessing, sys
+from permsep import cli, verify
+verify.POOL_MIN_WORK = 0
+verify._usable_cores = lambda: 2
+queue = multiprocessing.get_context("spawn").Queue()
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="lists processes through /proc")
+def test_a_pooled_cli_run_leaves_no_process_behind(tmp_path):
+    # the workers and the resource tracker are reaped before the command
+    # exits, so its session ends with it; the tracker stops only after
+    # every semaphore, the caller's too, has unregistered, so none is
+    # reported leaked and none is unlinked twice
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state_to_dict(random_state(2, 5, np.random.default_rng(3)))))
+    argv = ["evaluate", "--state", str(path)]
+    proc = subprocess.Popen(
+        [sys.executable, "-W", "error", "-X", "dev", "-c", _POOLED_CLI_BESIDE_A_QUEUE, *argv],
+        env=_src_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, "")
+    left = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except OSError:  # the process ended meanwhile
+            continue
+        # the session id is the fourth field after the parenthesised name
+        if int(stat[stat.rindex(")") + 2:].split()[3]) == proc.pid:
+            left.append(stat)
+    assert left == []

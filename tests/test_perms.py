@@ -1,7 +1,7 @@
 """Permutation algebra: group laws, the norm-preserving group, dependence."""
 
 import itertools
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -274,6 +274,32 @@ def test_dependent_partition_sizes_r3():
     assert len(sizes) == 7
     assert sorted(sizes.values()) == [72, 72, 72, 72, 144, 144, 144]
     assert sum(sizes.values()) == factorial(6)
+
+
+@pytest.mark.parametrize("r,cosets,fixed,paired", [(2, 3, 3, 0), (3, 10, 4, 3), (4, 35, 11, 12)])
+def test_combinatorial_cosets_merge_into_classes(r, cosets, fixed, paired):
+    # Wocjan & Horodecki's combinatorially independent criteria are the
+    # cosets {t . sigma : t norm preserving} in S_2r, C(2r, r)/2 of them.
+    # Right multiplication by the global transpose fixes some cosets and
+    # pairs up the rest, and each fixed coset or pair is one class: leaving
+    # out the identity's, 9 -> 6 criteria at r = 3 and 34 -> 22 at r = 4
+    from permsep.criteria import count_classes
+
+    group = [t.images for t in norm_group(r)]
+    assert len(group) == 2 * factorial(r) ** 2
+    coset_of, reps = {}, []
+    for word in itertools.permutations(range(1, 2 * r + 1)):
+        if word not in coset_of:
+            for t in group:
+                coset_of[tuple(t[s - 1] for s in word)] = len(reps)
+            reps.append(word)
+    assert len(reps) == cosets == comb(2 * r, r) // 2
+    tau = global_transpose(r).images
+    image = [coset_of[tuple(word[s - 1] for s in tau)] for word in reps]  # sigma . tau
+    assert all(image[i] == k for k, i in enumerate(image))
+    assert sum(i == k for k, i in enumerate(image)) == fixed
+    assert sum(i != k for k, i in enumerate(image)) == 2 * paired
+    assert fixed + paired == count_classes(r)
 
 
 def test_dependent_matches_norm_equality_on_states():

@@ -443,11 +443,12 @@ def test_beta_sweep_needs_one_svd_per_silent_class(monkeypatch):
     # factor, of at most 81 entries; each of the 6 that fire adds a probe and
     # secant steps.  The four R and R+QT classes keep one copy on its own
     # slots, so theirs run on stacks of nine 9 x 9 blocks, 12 in all; 2R and
-    # R+R' keep neither copy and take 6 dense 81 x 81 SVDs; beta = 1 needs none
+    # R+R' keep neither copy and take 6 SVDs on stacks of one 81 x 81 block;
+    # beta = 1 needs none
     shapes = [shape for _, _, shape in calls]
-    assert shapes.count((81, 81)) == 6
+    assert shapes.count((1, 81, 81)) == 6
     assert shapes.count((9, 9, 9)) == 12
-    factor = [shape for shape in shapes if shape not in ((81, 81), (9, 9, 9))]
+    factor = [shape for shape in shapes if shape not in ((1, 81, 81), (9, 9, 9))]
     assert len(factor) == 2 * 23
     assert all(m * n <= 81 for m, n in factor)
     assert not any(vectors for vectors, _, _ in calls)
@@ -556,11 +557,11 @@ def test_block_thresholds_equal_the_dense_bisection(monkeypatch, make):
     blocked = 0
     for cls, norm in class_norms(rho):
         sigma = to_permutation(cls)
-        images = verify._noise_images(rho, sigma)
+        images = verify._noise_images(rho, cls)
         # the stack is taken exactly when some block's parties are all F or L
         kept = any(all(cls.roles[p - 1] in (Role.FREE, Role.LOOP) for p in pos)
                    for pos, _ in rho.blocks)
-        assert images[0].ndim == (3 if kept else 2)
+        assert (len(images[0]) > 1) == kept
         if not kept:
             continue
         low = apply_criterion(rho.matrix, sigma, rho.dim)
@@ -654,6 +655,40 @@ def test_ghz_partial_transpose_thresholds_are_the_closed_form(r):
     assert len(cuts) == 2 ** (r - 1) - 1  # one class per bipartition
     for beta in cuts:
         assert y - 2.0**-verify.BISECT_ITERS <= beta <= y
+
+
+def test_shifts_upb_state_is_detected_by_the_realignments_only():
+    # the Shifts UPB state (Bennett et al., PRL 82, 5385 (1999)) is PPT, so
+    # every partial transpose keeps norm 1, yet it is bound entangled and
+    # every realignment of one pair of parties detects it
+    k0, k1 = np.eye(2)
+    plus, minus = (k0 + k1) / np.sqrt(2), (k0 - k1) / np.sqrt(2)
+    upb = [functools.reduce(np.kron, kets) for kets in
+           ((k0, k1, plus), (k1, plus, k0), (plus, k0, k1), (minus, minus, minus))]
+    projector = sum(np.outer(ket, ket) for ket in upb)
+    shifts = density_matrix((np.eye(8) - projector) / 4, 2, 3)
+    norms = {roles_to_string(cls.roles): norm for cls, norm in class_norms(shifts)}
+    expected = {"FFF": 1.0, "FFL": 1.0, "FLF": 1.0, "FLL": 1.0,
+                "FHT": 1.086490823927, "HFT": 1.086490823927, "HTF": 1.086490823927}
+    assert norms.keys() == expected.keys()
+    for roles, norm in norms.items():
+        assert abs(norm - expected[roles]) <= 1e-12, roles
+
+
+def test_smolin_state_norms_are_the_known_ones():
+    # the Smolin state (PRA 63, 032306 (2001)) is separable across every
+    # 2|2 cut, so 2QT, 2R and R+R' give 1, while every QT, R and R+QT class
+    # gives 2
+    x, y, z = np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])
+    paulis = sum(functools.reduce(np.kron, [p] * 4) for p in (x, y, z))
+    smolin = density_matrix((np.eye(16) + paulis) / 16, 2, 4)
+    labels = set()
+    for cls, norm in class_norms(smolin):
+        labels.add(cls.label)
+        expected = 2.0 if cls.label in ("QT", "R", "R+QT") else 1.0
+        assert abs(norm - expected) <= 1e-12, roles_to_string(cls.roles)
+    assert labels == {"identity", "QT", "R", "R+QT", "2QT", "2R", "R+R'"}
+
 
 def test_noise_images_have_norm_d_to_minus_arrows():
     # the premise that lets the sweep skip beta = 1: every class maps I/81
