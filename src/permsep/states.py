@@ -373,10 +373,18 @@ def _float_array(data: dict, key: str) -> np.ndarray:
         raise ValueError(f"key {key!r} must be an array of numbers: {exc}") from None
 
 
+def _integer(data: dict, key: str) -> int:
+    value = data[key]
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"key {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def state_from_dict(data: object) -> DensityMatrix:
     """Parse the state wire format.
 
-    Either {"builtin": "chessboard" | "bell"} or an explicit matrix
+    Either {"builtin": "chessboard" | "bell"}, where a "d" or "r" given
+    beside it must be the built-in's, or an explicit matrix
     {"d": int, "r": int, "re": [[...]], "im": [[...]]} with row-major
     d^r x d^r arrays; "im" may be missing or null for a real matrix.
     Validation failures name the violated invariant or key.
@@ -391,14 +399,15 @@ def state_from_dict(data: object) -> DensityMatrix:
             raise ValueError(
                 f"unknown builtin {name!r}; have {sorted(BUILTIN_STATES)}"
             )
-        return BUILTIN_STATES[name]()
+        rho = BUILTIN_STATES[name]()
+        for key, value in (("d", rho.dim), ("r", rho.parties)):
+            if key in data and _integer(data, key) != value:
+                raise ValueError(f"key {key!r} is {data[key]}, builtin {name!r} has {value}")
+        return rho
     for key in ("d", "r", "re"):
         if key not in data:
             raise ValueError(f"state object is missing key {key!r}")
-    for key in ("d", "r"):
-        if not isinstance(data[key], numbers.Integral) or isinstance(data[key], bool):
-            raise ValueError(f"key {key!r} must be an integer, got {data[key]!r}")
-    dim, parties = int(data["d"]), int(data["r"])
+    dim, parties = _integer(data, "d"), _integer(data, "r")
     re = _float_array(data, "re")
     im = np.zeros_like(re) if data.get("im") is None else _float_array(data, "im")
     if re.shape != im.shape:

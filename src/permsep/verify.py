@@ -30,7 +30,6 @@ from .states import (
     DensityMatrix,
     apply_criterion,
     chessboard_state,
-    density_matrix,
     random_state,
     tensor_product,
     trace_norm,
@@ -40,8 +39,8 @@ LARGE_PARTIES = 7  # randomized suites above this need an explicit opt-in
 BISECT_ITERS = 44  # noise thresholds are located to 2^-BISECT_ITERS
 SECANT_STEPS = 8  # probe and secant steps per threshold before plain bisection
 PROBE_BETA = 2.0**-10  # the first beta a threshold search evaluates after 0
-# class_norms counts the work of one image as n^3 for its n x n SVD.  At or
-# below POOL_MIN_WORK a call stays in one process: a worker takes about
+# class_norms counts the work of one image as m^3 for each m x m block.  At
+# or below POOL_MIN_WORK a call stays in one process: a worker takes about
 # 0.4 s to boot, and a call that boots it breaks even near 4e8 (measured in
 # BENCH_11.json).  A pooled call ships rho once per chunk of at most
 # CHUNK_WORK: 33 images at n = 128, 4 at n = 243 or 256.
@@ -172,14 +171,14 @@ def _noise_images(rho: DensityMatrix, cls: CriterionClass):
     return h[:, None, None] * low, (high / len(h))[None]
 
 
-def _start_pool(images: int, n: int):
+def _start_pool(work: float, n: int):
     """The process's pool and its worker count, started if need be, or None
-    where a call of ``images`` SVDs of n x n should stay in this process:
-    one usable core, n large enough that BLAS threads already use the
-    cores, too little work to repay a worker's boot, or this process is
-    itself a worker."""
+    where a call whose images' blocks, n x n at most, add up to ``work``
+    (m^3 for each m x m) should stay in this process: one usable core, n
+    large enough that BLAS threads already use the cores, too little work
+    to repay a worker's boot, or this process is itself a worker."""
     global _pool
-    if n > SINGLE_THREAD_SVD_MAX_N or images * n**3 <= POOL_MIN_WORK:
+    if n > SINGLE_THREAD_SVD_MAX_N or work <= POOL_MIN_WORK:
         return None
     cores = _usable_cores()
     if cores < 2:
@@ -215,21 +214,37 @@ def _drop_pool(executor) -> None:
     executor.shutdown()
 
 
-def _pooled_norms(executor, workers: int, rho: DensityMatrix, perms: list) -> list[float]:
-    """``_norm_chunk`` of rho over ``perms``, shared with the pool's workers.
+def class_norms(
+    rho: DensityMatrix, classes: tuple[CriterionClass, ...] | None = None
+) -> list[tuple[CriterionClass, float]]:
+    """Trace norm of every permuted image of a state, in enumeration order.
 
-    The workers take chunks from the front, at most two waiting or running
-    per worker, while this process computes one image at a time from the
-    back; once the two ends meet it reads the workers' results.  A chunk
-    is about CHUNK_WORK, and at most a 2 * (workers + 1)-th of what is left,
-    so the ends meet with little left to wait for.  Nothing is cancelled:
-    on Python 3.10 and 3.11 a pool that breaks while it holds a cancelled
-    future fails in its own thread and leaves the other futures unresolved.
-    If a worker dies, this process computes what it lost and drops the pool.
+    Each norm is the product of the norms of the blocks' shares
+    (``_norm_chunk``), so a product of several blocks, from
+    ``tensor_product`` and kept by ``reorder_parties``, takes one small SVD
+    per block in place of one of the whole image.  This process computes
+    one image at a time from the back.  A call with enough work in blocks
+    of at most SINGLE_THREAD_SVD_MAX_N (see ``POOL_MIN_WORK``) shares it
+    with a pool of one worker per usable core but one, which takes chunks
+    from the front: about CHUNK_WORK each, at most a 2 * (workers + 1)-th
+    of what is left and two waiting or running per worker, so the ends
+    meet with little left to wait for.  The norms are the same bits either
+    way.  Nothing is cancelled: on Python 3.10 and 3.11 a pool that breaks
+    while it holds a cancelled future leaves the other futures unresolved.
+    If a worker dies, this process computes what it lost and drops the
+    pool.  Workers start with ``spawn``, which imports the caller's main
+    module again, so a script that pools needs an ``if __name__ ==
+    "__main__":`` guard.
     """
-    from concurrent.futures.process import BrokenProcessPool
-
-    size = max(1, int(CHUNK_WORK / rho.size**3))
+    if classes is None:
+        classes = enumerate_classes(rho.parties)
+    perms = [to_permutation(cls) for cls in classes]
+    work = sum(len(m) ** 3 for _, m in rho.blocks)  # of one image
+    pool = _start_pool(len(perms) * work, max(len(m) for _, m in rho.blocks))
+    executor, workers = pool or (None, 0)
+    if pool:  # only a pool raises it, and the import costs more than a small call
+        from concurrent.futures.process import BrokenProcessPool
+    size = max(1, int(CHUNK_WORK / work))
     norms: list = [None] * len(perms)
     sent = []  # (start, stop, future) of each chunk sent
     broken = False
@@ -255,33 +270,6 @@ def _pooled_norms(executor, workers: int, rho: DensityMatrix, perms: list) -> li
             norms[start:stop] = _norm_chunk(rho, perms[start:stop])
     if broken:
         _drop_pool(executor)
-    return norms
-
-
-def class_norms(
-    rho: DensityMatrix, classes: tuple[CriterionClass, ...] | None = None
-) -> list[tuple[CriterionClass, float]]:
-    """Trace norm of every permuted image of a state, in enumeration order.
-
-    Each norm is the product of the norms of the blocks' shares
-    (``_norm_chunk``), so a product of several blocks, from
-    ``tensor_product`` and kept by ``reorder_parties``, takes one small SVD
-    per block in place of one of the whole image.  It runs in this process;
-    for a state of one block, a call with enough SVDs of at most
-    SINGLE_THREAD_SVD_MAX_N shares them with a process pool of one worker
-    per usable core but one (see ``POOL_MIN_WORK``); the norms are the same
-    bits either way.  Workers start with ``spawn``, which imports the
-    caller's main module again, so a script that gets here at r >= 7 needs
-    an ``if __name__ == "__main__":`` guard.
-    """
-    if classes is None:
-        classes = enumerate_classes(rho.parties)
-    perms = [to_permutation(cls) for cls in classes]
-    pool = None if len(rho.blocks) > 1 else _start_pool(len(perms), rho.size)
-    if pool is None:
-        norms = _norm_chunk(rho, perms)
-    else:
-        norms = _pooled_norms(*pool, rho, perms)
     return list(zip(classes, norms))
 
 
@@ -381,14 +369,16 @@ def verify_rule5(config: VerificationConfig) -> Rule5Report:
     """Check that ||L_sigma(rho)||_1 = ||L_sigma(rho^T)||_1 for every class
     on random states: composing sigma with the global transpose (transpose
     applied first) moves it to another coset of the norm-preserving group,
-    yet on Hermitian input, where rho^T = conj(rho), it detects the same states."""
+    yet on Hermitian input, where rho^T = conj(rho), it detects the same
+    states.  rho^T keeps rho's blocks, each transposed, so each sample is
+    validated once, when it is drawn."""
     rng = np.random.default_rng(config.seed)
     classes = enumerate_classes(config.parties)
     max_dev = 0.0
     failures = []
     for sample in range(config.samples):
         rho = random_state(config.dim, config.parties, rng)
-        rho_t = density_matrix(rho.matrix.T, rho.dim, rho.parties)
+        rho_t = DensityMatrix(rho.dim, rho.parties, tuple((p, m.T) for p, m in rho.blocks))
         for (cls, a), (_, b) in zip(class_norms(rho, classes), class_norms(rho_t, classes)):
             dev = abs(a - b)
             max_dev = max(max_dev, dev)

@@ -145,6 +145,16 @@ def test_evaluate_rejects_non_integer_dimensions(tmp_path, capsys, key, value):
     assert f"key '{key}' must be an integer" in err
 
 
+def test_evaluate_rejects_a_builtin_of_another_size(tmp_path, capsys):
+    path = tmp_path / "bell.json"
+    path.write_text(json.dumps({"builtin": "bell", "d": 3, "r": 4}))
+    assert run(capsys, "evaluate", "--state", str(path)) == (
+        2, "", "error: invalid state: key 'd' is 3, builtin 'bell' has 2\n")
+    path.write_text(json.dumps({"builtin": "bell", "d": 2, "r": 2}))
+    code, out, _ = run(capsys, "evaluate", "--state", str(path))
+    assert code == 0 and "d=2, r=2" in out
+
+
 def test_evaluate_accepts_null_imaginary_part(tmp_path, capsys):
     path = tmp_path / "real.json"
     path.write_text(json.dumps({"d": 2, "r": 1, "re": [[0.5, 0.0], [0.0, 0.5]], "im": None}))
@@ -392,14 +402,28 @@ def _src_env():
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
+# the process machinery that importing permsep loaded, then what beta-sweep
+# and evaluate of a built-in loaded: runs that start no pool
+_NO_POOL = """
+import contextlib, io, sys
+import numpy
+before = set(sys.modules)
+import permsep, permsep.cli
+machinery = {"multiprocessing", "concurrent.futures"}
+print(sorted(machinery & (set(sys.modules) - before)))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [permsep.cli.main(argv) for argv in
+             (["beta-sweep", "--format", "json"], ["evaluate", "--builtin", "chessboard"])]
+print(codes, sorted(machinery & set(sys.modules)))
+"""
+
+
 def test_importing_permsep_loads_no_process_machinery():
-    code = ("import sys, numpy; before = set(sys.modules); import permsep, permsep.cli; "
-            "new = set(sys.modules) - before; "
-            "print(sorted({'multiprocessing', 'concurrent.futures'} & new))")
+    # the import alone would cost more than beta-sweep's whole computation
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True
+        [sys.executable, "-c", _NO_POOL], env=_src_env(), capture_output=True, text=True
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n[0, 0] []\n", "")
 
 
 # evaluate with the pool forced on one worker, then the pids of the live workers

@@ -603,6 +603,17 @@ def test_state_dict_builtins_and_errors():
         )
 
 
+def test_a_builtin_beside_a_d_or_r_must_match_it():
+    assert state_from_dict({"builtin": "bell", "d": 2, "r": 2}).parties == 2
+    assert state_from_dict({"builtin": "chessboard", "d": 3}).dim == 3
+    with pytest.raises(ValueError, match="^key 'd' is 3, builtin 'bell' has 2$"):
+        state_from_dict({"builtin": "bell", "d": 3, "r": 4})
+    with pytest.raises(ValueError, match="^key 'r' is 4, builtin 'chessboard' has 2$"):
+        state_from_dict({"builtin": "chessboard", "r": 4})
+    with pytest.raises(ValueError, match="key 'r' must be an integer"):
+        state_from_dict({"builtin": "bell", "r": 2.0})
+
+
 def test_real_only_state_file():
     data = {"d": 2, "r": 1, "re": [[0.5, 0], [0, 0.5]]}
     for state in (data, dict(data, im=None)):

@@ -139,6 +139,21 @@ def test_rule5_report_is_deterministic():
     assert a == b
 
 
+def test_rule5_validates_each_sample_once(monkeypatch):
+    # rho^T is built from the transposed blocks, so only drawing a sample
+    # runs the positivity check's eigvalsh
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert verify_rule5(config(parties=3, dim=2, samples=4, seed=1)).passed
+    assert calls == [(8, 8)] * 4
+
+
 # --- distinctness ----------------------------------------------------------------
 
 def test_distinctness_on_random_state_r3():
@@ -657,6 +672,30 @@ def test_ghz_partial_transpose_thresholds_are_the_closed_form(r):
         assert y - 2.0**-verify.BISECT_ITERS <= beta <= y
 
 
+@pytest.mark.parametrize("r, arrow_classes", [(3, 3), (4, 15), (5, 55)])
+def test_ghz_arrow_thresholds_are_the_closed_form(r, arrow_classes):
+    # measured, not derived: on GHZ_r with noise, a class with a >= 1 arrows
+    # gives 2 (1 - beta) + beta 2^-a, the sum of the norms of its images of
+    # GHZ_r (2) and of I/2^r (2^-a), which falls to 1 + tol at y; as tol
+    # -> 0, y is 2/3 for one arrow and 4/7 for two
+    tol = 1e-9
+    ket = np.zeros(2**r)
+    ket[0] = ket[-1] = 1 / np.sqrt(2)
+    ghz = _pure(ket, 2, r)
+    arrows = {cls: len(arrows_and_loops(cls.roles)[0]) for cls in enumerate_classes(r)}
+    assert sum(a >= 1 for a in arrows.values()) == arrow_classes
+    for beta in np.linspace(0, 1, 11):
+        for cls, norm in class_norms(mix_with_noise(ghz, beta)):
+            a = arrows[cls]
+            if a:
+                assert abs(norm - (2 * (1 - beta) + beta * 2.0**-a)) <= 1e-12
+    for cls, beta in noise_thresholds(ghz, tol):
+        a = arrows[cls]
+        if a:
+            y = (1 - tol) / (2 - 2.0**-a)
+            assert y - 2.0**-verify.BISECT_ITERS <= beta <= y, roles_to_string(cls.roles)
+
+
 def test_shifts_upb_state_is_detected_by_the_realignments_only():
     # the Shifts UPB state (Bennett et al., PRL 82, 5385 (1999)) is PPT, so
     # every partial transpose keeps norm 1, yet it is bound entangled and
@@ -748,14 +787,22 @@ def pool_on_two_cores(monkeypatch):
         verify._drop_pool(verify._pool[0])
 
 
+def _lifted_and_relabeled():
+    # a (2,4) state (x) a pure qubit, the qubit moved to party 2: two blocks
+    rng = np.random.default_rng(113)
+    qubit = _pure(random_pure_vector(2, rng), 2, 1)
+    return reorder_parties(tensor_product(random_state(2, 4, rng), qubit), [1, 5, 2, 3, 4])
+
+
 @pytest.mark.parametrize("make", [
     lambda: random_state(2, 4, np.random.default_rng(83)),
-    # real, and not a product: a product's norms never reach the pool
+    # real, one block
     lambda: mix_with_noise(tensor_product(chessboard_state(), chessboard_state()), 0.1),
-], ids=["complex-d2", "real-d3"])
+    _lifted_and_relabeled,
+], ids=["complex-d2", "real-d3", "product-d2"])
 def test_pooled_norms_equal_the_serial_ones(pool_on_two_cores, monkeypatch, make):
     rho = make()
-    calls = []  # SVDs run in this process
+    calls = []  # block shares whose SVD ran in this process
 
     def counted(matrix):
         calls.append(matrix.shape)
@@ -764,16 +811,11 @@ def test_pooled_norms_equal_the_serial_ones(pool_on_two_cores, monkeypatch, make
     monkeypatch.setattr(verify, "trace_norm", counted)
     pooled = class_norms(rho)
     assert verify._pool is not None
-    assert 0 < len(calls) < len(pooled)  # the worker computed the rest
+    images, rest = divmod(len(calls), len(rho.blocks))
+    assert rest == 0 and 0 < images < len(pooled)  # the worker computed the rest
     monkeypatch.setattr(verify, "POOL_MIN_WORK", float("inf"))
     assert pooled == class_norms(rho)
     assert [cls.class_id for cls, _ in pooled] == list(range(len(pooled)))
-
-
-def test_a_product_state_never_starts_the_pool(pool_on_two_cores):
-    rng = np.random.default_rng(113)
-    class_norms(tensor_product(random_state(2, 2, rng), random_state(2, 3, rng)))
-    assert verify._pool is None
 
 
 def test_a_killed_worker_loses_no_norm(pool_on_two_cores, monkeypatch):
