@@ -7,9 +7,11 @@ the enumeration order.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass, field
 
@@ -26,6 +28,7 @@ from .criteria import (
 )
 from .perms import global_transpose, norm_group
 from .states import (
+    _ONE_BLAS_THREAD,
     SINGLE_THREAD_SVD_MAX_N,
     DensityMatrix,
     apply_criterion,
@@ -40,15 +43,17 @@ BISECT_ITERS = 44  # noise thresholds are located to 2^-BISECT_ITERS
 SECANT_STEPS = 8  # probe and secant steps per threshold before plain bisection
 PROBE_BETA = 2.0**-10  # the first beta a threshold search evaluates after 0
 # class_norms counts the work of one image as m^3 for each m x m block.  At
-# or below POOL_MIN_WORK a call stays in one process: a worker takes about
-# 0.4 s to boot, and a call that boots it breaks even near 4e8 (measured in
-# BENCH_11.json).  A pooled call ships rho once per chunk of at most
-# CHUNK_WORK: 33 images at n = 128, 4 at n = 243 or 256.
+# or below POOL_MIN_WORK a call stays in one process.  A pooled call forks
+# its workers, which costs about 25 ms plus the first import of
+# concurrent.futures; BENCH_11.json measured the break-even near 4e8 with
+# a 0.4 s worker boot, and with fork a pooled (2,6) evaluate took 0.256 s
+# against 0.251 s in one process, so the limit stands.  A chunk is the
+# index range of at most CHUNK_WORK: 33 images at n = 128, 4 at n = 243
+# or 256.
 POOL_MIN_WORK = 4e8
 CHUNK_WORK = 7e7
 
-_pool = None  # (executor, workers): one per process, started on first use
-_pool_lock = threading.Lock()
+_pooled = None  # (rho, perms) of the call that forked this worker
 
 
 def _check_positive_finite(name: str, value: float) -> None:
@@ -120,10 +125,7 @@ class EvaluationReport:
 
 
 def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))  # a pool runs only on Linux, which has it
 
 
 def _shares(rho: DensityMatrix, sigma):
@@ -171,47 +173,35 @@ def _noise_images(rho: DensityMatrix, cls: CriterionClass):
     return h[:, None, None] * low, (high / len(h))[None]
 
 
-def _start_pool(work: float, n: int):
-    """The process's pool and its worker count, started if need be, or None
-    where a call whose images' blocks, n x n at most, add up to ``work``
-    (m^3 for each m x m) should stay in this process: one usable core, n
+def _pool_workers(work: float, n: int) -> int:
+    """Workers for a call whose images' blocks, n x n at most, add up to
+    ``work`` (m^3 for each m x m), or 0 where it stays in this process: n
     large enough that BLAS threads already use the cores, too little work
-    to repay a worker's boot, or this process is itself a worker."""
-    global _pool
-    if n > SINGLE_THREAD_SVD_MAX_N or work <= POOL_MIN_WORK:
-        return None
+    to repay the pool, not Linux, no OpenBLAS thread limit, another live
+    thread that a fork would not copy, one usable core, or this process
+    is itself a worker."""
+    if (n > SINGLE_THREAD_SVD_MAX_N or work <= POOL_MIN_WORK or sys.platform != "linux"
+            or _ONE_BLAS_THREAD is None or threading.active_count() > 1):
+        return 0
     cores = _usable_cores()
     if cores < 2:
-        return None
-    # imported here, so that importing permsep stays as fast as before
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import resource_tracker
-    from multiprocessing.util import Finalize
+        return 0
+    import multiprocessing  # here, so that importing permsep stays as fast as before
 
-    if multiprocessing.parent_process() is not None:
-        return None
-    with _pool_lock:
-        if _pool is None:
-            # the executor joins its workers at interpreter exit
-            executor = ProcessPoolExecutor(
-                cores - 1, mp_context=multiprocessing.get_context("spawn")
-            )
-            _pool = (executor, cores - 1)
-            # stop and reap the executor's resource tracker at exit, after every
-            # other finalizer (the lowest is -5): it would outlive this process,
-            # and an unregister after the stop would start another
-            Finalize(None, resource_tracker._resource_tracker._stop, exitpriority=-100)
-        return _pool
+    return 0 if multiprocessing.parent_process() is not None else cores - 1
 
 
-def _drop_pool(executor) -> None:
-    """Forget a pool that lost a worker and join what is left of it."""
-    global _pool
-    with _pool_lock:
-        if _pool is not None and _pool[0] is executor:
-            _pool = None
-    executor.shutdown()
+def _inherit(rho: DensityMatrix, perms: list) -> None:
+    """Pool initializer: a forked worker inherits its call's state and
+    permutations, so that a chunk sends only its range."""
+    global _pooled
+    _pooled = rho, perms
+
+
+def _pooled_chunk(start: int, stop: int) -> list[float]:
+    """The worker's norms of the images under perms[start:stop]."""
+    rho, perms = _pooled
+    return _norm_chunk(rho, perms[start:stop])
 
 
 def class_norms(
@@ -224,52 +214,56 @@ def class_norms(
     ``tensor_product`` and kept by ``reorder_parties``, takes one small SVD
     per block in place of one of the whole image.  This process computes
     one image at a time from the back.  A call with enough work in blocks
-    of at most SINGLE_THREAD_SVD_MAX_N (see ``POOL_MIN_WORK``) shares it
-    with a pool of one worker per usable core but one, which takes chunks
-    from the front: about CHUNK_WORK each, at most a 2 * (workers + 1)-th
-    of what is left and two waiting or running per worker, so the ends
-    meet with little left to wait for.  The norms are the same bits either
-    way.  Nothing is cancelled: on Python 3.10 and 3.11 a pool that breaks
-    while it holds a cancelled future leaves the other futures unresolved.
-    If a worker dies, this process computes what it lost and drops the
-    pool.  Workers start with ``spawn``, which imports the caller's main
-    module again, so a script that pools needs an ``if __name__ ==
-    "__main__":`` guard.
+    of at most SINGLE_THREAD_SVD_MAX_N (see ``POOL_MIN_WORK`` and
+    ``_pool_workers``) forks a pool of one worker per usable core but one
+    and joins it before it returns.  The workers inherit rho and the
+    permutations, and take chunks from the front: about CHUNK_WORK each,
+    at most a 2 * (workers + 1)-th of what is left and two waiting or
+    running per worker, so the ends meet with little left to wait for.
+    OpenBLAS stays on one thread from before the fork until after the
+    join, so no worker re-creates BLAS threads.  The norms are the same
+    bits either way.  Nothing is cancelled: on Python 3.10 and 3.11 a pool
+    that breaks while it holds a cancelled future leaves the other futures
+    unresolved.  If a worker dies, this process computes what it lost.
     """
     if classes is None:
         classes = enumerate_classes(rho.parties)
     perms = [to_permutation(cls) for cls in classes]
     work = sum(len(m) ** 3 for _, m in rho.blocks)  # of one image
-    pool = _start_pool(len(perms) * work, max(len(m) for _, m in rho.blocks))
-    executor, workers = pool or (None, 0)
-    if pool:  # only a pool raises it, and the import costs more than a small call
-        from concurrent.futures.process import BrokenProcessPool
+    workers = _pool_workers(len(perms) * work, max(len(m) for _, m in rho.blocks))
     size = max(1, int(CHUNK_WORK / work))
     norms: list = [None] * len(perms)
-    sent = []  # (start, stop, future) of each chunk sent
-    broken = False
-    lo, hi = 0, len(perms)  # perms[lo:hi] are neither sent nor computed
-    while lo < hi:
-        if not broken and sum(not f.done() for *_, f in sent) < 2 * workers:
-            stop = lo + max(1, min(size, (hi - lo) // (2 * (workers + 1))))
-            try:
-                future = executor.submit(_norm_chunk, rho, perms[lo:stop])
-            except BrokenProcessPool:
-                broken = True
+    with contextlib.ExitStack() as pool:
+        if workers:  # the imports cost more than a small call
+            import multiprocessing
+            from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+            pool.enter_context(_ONE_BLAS_THREAD)  # left after the workers are joined
+            executor = pool.enter_context(ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_inherit, initargs=(rho, perms),
+            ))
+        sent = []  # (start, stop, future) of each chunk sent
+        broken = False
+        lo, hi = 0, len(perms)  # perms[lo:hi] are neither sent nor computed
+        while lo < hi:
+            if not broken and sum(not f.done() for *_, f in sent) < 2 * workers:
+                stop = lo + max(1, min(size, (hi - lo) // (2 * (workers + 1))))
+                try:
+                    future = executor.submit(_pooled_chunk, lo, stop)
+                except BrokenProcessPool:
+                    broken = True
+                else:
+                    sent.append((lo, stop, future))
+                    lo = stop
             else:
-                sent.append((lo, stop, future))
-                lo = stop
-        else:
-            hi -= 1
-            norms[hi:hi + 1] = _norm_chunk(rho, perms[hi:hi + 1])
-    for start, stop, future in sent:
-        try:
-            norms[start:stop] = future.result()
-        except BrokenProcessPool:
-            broken = True
-            norms[start:stop] = _norm_chunk(rho, perms[start:stop])
-    if broken:
-        _drop_pool(executor)
+                hi -= 1
+                norms[hi:hi + 1] = _norm_chunk(rho, perms[hi:hi + 1])
+        for start, stop, future in sent:
+            try:
+                norms[start:stop] = future.result()
+            except BrokenProcessPool:
+                norms[start:stop] = _norm_chunk(rho, perms[start:stop])
     return list(zip(classes, norms))
 
 

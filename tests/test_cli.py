@@ -426,18 +426,25 @@ def test_importing_permsep_loads_no_process_machinery():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n[0, 0] []\n", "")
 
 
-# evaluate with the pool forced on one worker, then the pids of the live workers
+# a pool forks only on Linux, under the OpenBLAS thread limit
+needs_fork_pool = pytest.mark.skipif(
+    sys.platform != "linux" or verify._ONE_BLAS_THREAD is None, reason="no pool here"
+)
+
+# evaluate with the pool forced on one worker, then the children still alive
+# and whether the pool ran
 _POOLED_CLI = """
 import multiprocessing, sys
 from permsep import cli, verify
 verify.POOL_MIN_WORK = 0
 verify._usable_cores = lambda: 2
 code = cli.main(sys.argv[1:])
-print(*[p.pid for p in multiprocessing.active_children()], file=sys.stderr)
+print(multiprocessing.active_children(), "concurrent.futures" in sys.modules, file=sys.stderr)
 sys.exit(code)
 """
 
 
+@needs_fork_pool
 def test_a_pooled_cli_run_joins_its_workers(tmp_path, capsys):
     path = tmp_path / "state.json"
     path.write_text(json.dumps(state_to_dict(random_state(2, 5, np.random.default_rng(3)))))
@@ -446,43 +453,40 @@ def test_a_pooled_cli_run_joins_its_workers(tmp_path, capsys):
         [sys.executable, "-W", "error", "-X", "dev", "-c", _POOLED_CLI, *argv],
         env=_src_env(), capture_output=True, text=True, timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
-    pids = [int(pid) for pid in proc.stderr.split()]
-    assert len(pids) == 1  # nothing else was written to stderr
-    with pytest.raises(ProcessLookupError):
-        os.kill(pids[0], 0)
+    assert (proc.returncode, proc.stderr) == (0, "[] True\n")
     # the pooled stdout is the serial one, byte for byte
     assert run(capsys, *argv) == (0, proc.stdout, "")
 
 
-# evaluate with the pool forced on one worker, beside a queue of the caller's
-# own whose semaphores are still registered at exit
-_POOLED_CLI_BESIDE_A_QUEUE = """
-import multiprocessing, sys
+# evaluate with the pool forced on one worker, then the resource tracker's pid
+_POOLED_CLI_TRACKER = """
+import sys
+from multiprocessing import resource_tracker
 from permsep import cli, verify
 verify.POOL_MIN_WORK = 0
 verify._usable_cores = lambda: 2
-queue = multiprocessing.get_context("spawn").Queue()
-sys.exit(cli.main(sys.argv[1:]))
+code = cli.main(sys.argv[1:])
+print("tracker", resource_tracker._resource_tracker._pid)
+sys.exit(code)
 """
 
 
+@needs_fork_pool
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="lists processes through /proc")
 def test_a_pooled_cli_run_leaves_no_process_behind(tmp_path):
-    # the workers and the resource tracker are reaped before the command
-    # exits, so its session ends with it; the tracker stops only after
-    # every semaphore, the caller's too, has unregistered, so none is
-    # reported leaked and none is unlinked twice
+    # a fork pool's semaphores are unlinked when made, so no resource
+    # tracker starts, and the workers are joined before the call returns:
+    # the command's session ends with it
     path = tmp_path / "state.json"
     path.write_text(json.dumps(state_to_dict(random_state(2, 5, np.random.default_rng(3)))))
     argv = ["evaluate", "--state", str(path)]
     proc = subprocess.Popen(
-        [sys.executable, "-W", "error", "-X", "dev", "-c", _POOLED_CLI_BESIDE_A_QUEUE, *argv],
-        env=_src_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        [sys.executable, "-W", "error", "-X", "dev", "-c", _POOLED_CLI_TRACKER, *argv],
+        env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         start_new_session=True,
     )
-    _, err = proc.communicate(timeout=120)
-    assert (proc.returncode, err) == (0, "")
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, out.splitlines()[-1], err) == (0, "tracker None", "")
     left = []
     for pid in filter(str.isdigit, os.listdir("/proc")):
         try:
@@ -493,3 +497,28 @@ def test_a_pooled_cli_run_leaves_no_process_behind(tmp_path):
         if int(stat[stat.rindex(")") + 2:].split()[3]) == proc.pid:
             left.append(stat)
     assert left == []
+
+
+# a script with no __main__ guard that pools: a forked worker does not
+# import the script again, so the top level runs once
+_UNGUARDED = """
+import sys
+import numpy as np
+from permsep import random_state, verify
+verify.POOL_MIN_WORK = 0
+verify._usable_cores = lambda: 2
+print("top level")
+norms = verify.class_norms(random_state(2, 5, np.random.default_rng(3)))
+print(len(norms), "concurrent.futures" in sys.modules)
+"""
+
+
+@needs_fork_pool
+def test_an_unguarded_script_pools_cleanly(tmp_path):
+    script = tmp_path / "unguarded.py"
+    script.write_text(_UNGUARDED)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-X", "dev", str(script)],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "top level\n71 True\n", "")

@@ -4,6 +4,11 @@ import functools
 import itertools
 import json
 import multiprocessing
+import os
+import re
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -777,14 +782,27 @@ def test_tolerance_must_be_positive_and_finite(tolerance):
 
 @pytest.fixture
 def pool_on_two_cores(monkeypatch):
-    """Any call of class_norms runs pooled, with one worker; the pool is
-    joined after the test."""
-    assert verify._pool is None
+    """Any call of class_norms forks a pool of one worker."""
+    if sys.platform != "linux" or verify._ONE_BLAS_THREAD is None:
+        pytest.skip("a pool forks only on Linux, under the OpenBLAS thread limit")
     monkeypatch.setattr(verify, "_usable_cores", lambda: 2)
     monkeypatch.setattr(verify, "POOL_MIN_WORK", 0)
     yield
-    if verify._pool is not None:
-        verify._drop_pool(verify._pool[0])
+    assert multiprocessing.active_children() == []  # the call joined its workers
+
+
+def _in_a_worker(monkeypatch, act):
+    """Wrap ``_norm_chunk`` so that a forked worker, which inherits the
+    wrapper, calls ``act(norms)`` on the norms of each chunk it takes."""
+    norm_chunk = verify._norm_chunk
+
+    def chunk(rho, perms):
+        norms = norm_chunk(rho, perms)
+        if multiprocessing.parent_process() is not None:
+            act(norms)
+        return norms
+
+    monkeypatch.setattr(verify, "_norm_chunk", chunk)
 
 
 def _lifted_and_relabeled():
@@ -802,15 +820,8 @@ def _lifted_and_relabeled():
 ], ids=["complex-d2", "real-d3", "product-d2"])
 def test_pooled_norms_equal_the_serial_ones(pool_on_two_cores, monkeypatch, make):
     rho = make()
-    calls = []  # block shares whose SVD ran in this process
-
-    def counted(matrix):
-        calls.append(matrix.shape)
-        return trace_norm(matrix)
-
-    monkeypatch.setattr(verify, "trace_norm", counted)
+    calls = _counting_svd(monkeypatch)  # block shares whose SVD ran in this process
     pooled = class_norms(rho)
-    assert verify._pool is not None
     images, rest = divmod(len(calls), len(rho.blocks))
     assert rest == 0 and 0 < images < len(pooled)  # the worker computed the rest
     monkeypatch.setattr(verify, "POOL_MIN_WORK", float("inf"))
@@ -818,52 +829,104 @@ def test_pooled_norms_equal_the_serial_ones(pool_on_two_cores, monkeypatch, make
     assert [cls.class_id for cls, _ in pooled] == list(range(len(pooled)))
 
 
-def test_a_killed_worker_loses_no_norm(pool_on_two_cores, monkeypatch):
+def test_a_killed_worker_loses_no_norm(pool_on_two_cores, monkeypatch, tmp_path):
     rho = random_state(2, 5, np.random.default_rng(89))
-    executor, _ = verify._start_pool(1, 2)
-    submit = executor.submit
-    killed = []
 
-    def submit_and_kill(*args):
-        future = submit(*args)
-        if not killed:  # the executor reaps what it lost
-            killed.extend(multiprocessing.active_children())
-            for worker in killed:
-                worker.kill()
-        return future
+    def die(norms):
+        (tmp_path / "died").touch()
+        os._exit(1)
 
-    monkeypatch.setattr(executor, "submit", submit_and_kill)
+    _in_a_worker(monkeypatch, die)
     pooled = class_norms(rho)
-    assert len(killed) == 1
-    assert verify._pool is None  # the broken pool was dropped
+    assert (tmp_path / "died").exists()
     assert multiprocessing.active_children() == []
     monkeypatch.setattr(verify, "POOL_MIN_WORK", float("inf"))
     assert pooled == class_norms(rho)
-    # the next call starts a new pool
-    monkeypatch.setattr(verify, "POOL_MIN_WORK", 0)
-    assert class_norms(rho) == pooled
-    assert verify._pool is not None and verify._pool[0] is not executor
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads the thread count in /proc")
+def test_a_worker_never_re_creates_blas_threads(pool_on_two_cores, monkeypatch, tmp_path):
+    # OpenBLAS stops its threads at fork, and the worker inherits the limit
+    # of one thread, so after its SVDs it still runs on its own thread alone
+    def report(norms):
+        status = Path("/proc/self/status").read_text()
+        (tmp_path / str(os.getpid())).write_text(re.search(r"Threads:\s*(\d+)", status)[1])
+
+    _in_a_worker(monkeypatch, report)
+    class_norms(random_state(2, 5, np.random.default_rng(89)))
+    threads = [path.read_text() for path in tmp_path.iterdir()]
+    assert threads == ["1"]
+
+
+def test_a_chunk_sends_only_its_range(pool_on_two_cores, monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor
+
+    sent = []
+    submit = ProcessPoolExecutor.submit
+
+    def recorded(self, fn, *args):
+        sent.append(args)
+        return submit(self, fn, *args)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recorded)
+    rho = random_state(2, 5, np.random.default_rng(89))
+    pooled = class_norms(rho)
+    assert sent and all(len(args) == 2 and {type(i) for i in args} == {int} for args in sent)
+    # the chunks tile the front of the list
+    assert [start for start, _ in sent] == [0] + [stop for _, stop in sent[:-1]]
+    monkeypatch.setattr(verify, "POOL_MIN_WORK", float("inf"))
+    assert pooled == class_norms(rho)
+
+
+def test_a_second_thread_keeps_the_call_in_this_process(pool_on_two_cores, monkeypatch):
+    # a fork copies only the calling thread, so beside another thread
+    # class_norms computes every image here
+    rho = random_state(2, 5, np.random.default_rng(89))
+    calls = _counting_svd(monkeypatch)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait, args=(120,))
+    thread.start()
+    try:
+        norms = class_norms(rho)
+        started = multiprocessing.active_children()
+    finally:
+        done.set()
+        thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert started == [] and len(calls) == len(norms)
+    monkeypatch.setattr(verify, "POOL_MIN_WORK", float("inf"))
+    assert norms == class_norms(rho)
 
 
 def test_no_pool_below_the_break_even(monkeypatch):
     monkeypatch.setattr(verify, "_usable_cores", lambda: 4)
+    workers = []
+    pool_workers = verify._pool_workers
+    monkeypatch.setattr(verify, "_pool_workers",
+                        lambda *args: workers.append(pool_workers(*args)) or workers[-1])
     rng = np.random.default_rng(97)
     for r in range(1, 7):
         evaluate_state(random_state(2, r, rng))
     evaluate_state(random_state(3, 4, rng))
     beta_sweep()
-    assert verify._pool is None
+    assert len(workers) == 8 and not any(workers)
     assert multiprocessing.active_children() == []
 
 
-def test_one_core_a_large_matrix_or_a_worker_runs_serially(monkeypatch):
-    monkeypatch.setattr(verify, "POOL_MIN_WORK", 0)
-    monkeypatch.setattr(verify, "_usable_cores", lambda: 1)
-    assert verify._start_pool(10**6, 128) is None
-    monkeypatch.setattr(verify, "_usable_cores", lambda: 4)
+def test_one_core_a_large_matrix_or_a_worker_runs_serially(pool_on_two_cores, monkeypatch):
+    assert verify._pool_workers(10**6, 128) == 1
     # above it BLAS threads already share the cores
-    assert verify._start_pool(10**6, verify.SINGLE_THREAD_SVD_MAX_N + 1) is None
-    # a worker never starts a pool of its own
-    monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
-    assert verify._start_pool(10**6, 128) is None
-    assert verify._pool is None
+    assert verify._pool_workers(10**6, verify.SINGLE_THREAD_SVD_MAX_N + 1) == 0
+    assert verify._pool_workers(0, 128) == 0  # no more than POOL_MIN_WORK
+    for patch in [
+        (verify, "_usable_cores", lambda: 1),
+        # fork safety rests on Linux and on OpenBLAS's one-thread limit
+        (verify.sys, "platform", "darwin"),
+        (verify, "_ONE_BLAS_THREAD", None),
+        # a worker never starts a pool of its own
+        (multiprocessing, "parent_process", lambda: object()),
+    ]:
+        with monkeypatch.context() as patched:
+            patched.setattr(*patch)
+            assert verify._pool_workers(10**6, 128) == 0, patch
+
