@@ -10,7 +10,12 @@ Two words describe the same class exactly when they are related by
 reversing every arrow (Head <-> Tail), by trading loops for free
 subsystems (Loop <-> Free), or by both at once.  The canonical form is the
 lexicographic minimum of that four-element orbit under the fixed role
-order Free < Loop < Head < Tail.  The number of classes is
+order Free < Loop < Head < Tail.  The two swaps change disjoint subsystems,
+so the minimum is found without forming the orbit: the first subsystem
+with a Free or Loop role is Free, and the first with a Head or Tail role
+is Head.  Whichever of the two comes first decides the comparison and is
+set by its own swap; the other swap then decides the first place where
+the two remaining images differ.  The number of classes is
 
     (C(2r, r) + 2^r + C(r, r/2) * [r even]) / 4,
 
@@ -24,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .perms import Permutation, dependent, from_transpositions
 
@@ -103,10 +108,19 @@ def swap_loops_free(roles: RoleWord) -> RoleWord:
 
 
 def canonical_roles(roles: Sequence[Role]) -> RoleWord:
-    """Lexicographic minimum over the four symmetry images of a role word."""
+    """Lexicographic minimum over the four symmetry images of a role word.
+
+    It is the image whose first Head-or-Tail role is Head and whose first
+    Free-or-Loop role is Free: each swap fixes the other's subsystems, so
+    the word is swapped Head <-> Tail when its first arrow role is Tail and
+    Loop <-> Free when its first such role is Loop.
+    """
     roles = validate_roles(roles)
-    flipped = swap_heads_tails(roles)
-    return min(roles, flipped, swap_loops_free(roles), swap_loops_free(flipped))
+    if next((x for x in roles if x >= Role.HEAD), Role.HEAD) == Role.TAIL:
+        roles = swap_heads_tails(roles)
+    if next((x for x in roles if x <= Role.LOOP), Role.FREE) == Role.LOOP:
+        roles = swap_loops_free(roles)
+    return roles
 
 
 def arrows_and_loops(
@@ -198,17 +212,41 @@ def count_classes(parties: int) -> int:
 def enumerate_classes(parties: int) -> tuple[CriterionClass, ...]:
     """Every criterion class exactly once, ordered by canonical role word.
 
-    Generates the C(2r, r) balanced role words, canonicalizes, and
-    deduplicates; class ids are positions in the sorted order, so the
-    all-Free (trivial) class is always id 0.
+    The canonical words are generated directly, in sorted order: a word is
+    canonical when it is balanced, its first Free-or-Loop role is Free and
+    its first Head-or-Tail role is Head (see :func:`canonical_roles`).
+    Class ids are positions in that order, so the all-Free (trivial) class
+    is always id 0.
     """
     if not 1 <= parties <= MAX_PARTIES:
         raise ValueError(f"parties must be in 1..{MAX_PARTIES}, got {parties}")
-    seen = {canonical_roles(word) for word in balanced_role_words(parties)}
     return tuple(
         CriterionClass(roles=roles, class_id=i, label=label_for(roles))
-        for i, roles in enumerate(sorted(seen))
+        for i, roles in enumerate(_canonical_words((), 0, parties))
     )
+
+
+def _canonical_words(word: RoleWord, balance: int, left: int) -> Iterator[RoleWord]:
+    """The canonical words that extend ``word`` by ``left`` roles, sorted.
+
+    Depth first, trying roles in the order Free < Loop < Head < Tail, so
+    the words come out in lexicographic order.  ``balance`` is the prefix's
+    heads minus tails; a role goes next only if the |balance| it leaves can
+    still close over the remaining subsystems.  Loop goes only after a
+    Free and Tail only after a Head, which keeps every word canonical.
+    """
+    if not left:
+        yield word
+        return
+    left -= 1
+    if abs(balance) <= left:
+        yield from _canonical_words(word + (Role.FREE,), balance, left)
+        if Role.FREE in word:
+            yield from _canonical_words(word + (Role.LOOP,), balance, left)
+    if abs(balance + 1) <= left:
+        yield from _canonical_words(word + (Role.HEAD,), balance + 1, left)
+    if Role.HEAD in word and abs(balance - 1) <= left:
+        yield from _canonical_words(word + (Role.TAIL,), balance - 1, left)
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, formats, exit codes."""
 
+import hashlib
 import json
 import os
 import re
@@ -359,6 +360,20 @@ def test_beta_sweep_output_is_the_recorded_one(capsys, tol, fmt, suffix):
     assert code == 0
     golden = Path(__file__).parent / "data" / f"beta_sweep_tol_{tol}.{suffix}"
     assert out == golden.read_text()
+
+
+CLASSIFY_SHA256 = json.loads(
+    (Path(__file__).parent / "data" / "classify_sha256.json").read_text()
+)
+
+
+@pytest.mark.parametrize("command", list(CLASSIFY_SHA256))
+def test_classify_output_is_the_recorded_one(capsys, command):
+    # byte for byte the output of the enumeration by orbit search, before
+    # the canonical words were generated in sorted order
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_SHA256[command]
 
 
 @pytest.mark.parametrize("argv,expected", [

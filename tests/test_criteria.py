@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permsep import criteria
 from permsep.criteria import (
+    CriterionClass,
     Role,
     balanced_role_words,
     canonical_roles,
@@ -81,6 +83,17 @@ def test_canonicalize_idempotent_and_orbit_constant():
                 assert canonical_roles(image) == canon
 
 
+def _orbit_minimum(word):
+    flipped = swap_heads_tails(word)
+    return min(word, flipped, swap_loops_free(word), swap_loops_free(flipped))
+
+
+def test_canonical_roles_is_the_orbit_minimum_through_r8():
+    for r in range(1, 9):
+        for word in balanced_role_words(r):
+            assert canonical_roles(word) == _orbit_minimum(word), word
+
+
 def test_canonicalize_returns_class_with_id():
     cls = canonicalize(W("LFF"))
     assert cls.roles == W("FLL")
@@ -145,12 +158,36 @@ def test_enumeration_r3_contents():
 
 
 def test_enumeration_is_deduplicated_and_sorted():
-    for r in (2, 3, 4, 5):
+    for r in range(1, 9):
         classes = enumerate_classes(r)
         words = [c.roles for c in classes]
         assert words == sorted(words)
         assert len(set(words)) == len(words)
         assert all(c.roles == canonical_roles(c.roles) for c in classes)
+
+
+def test_enumeration_equals_the_sorted_orbit_minima_through_r8():
+    # the search the generated words replace: every balanced word's orbit
+    # minimum, deduplicated, sorted and numbered
+    for r in range(1, 9):
+        words = sorted({_orbit_minimum(word) for word in balanced_role_words(r)})
+        assert enumerate_classes(r) == tuple(
+            CriterionClass(roles=roles, class_id=i, label=label_for(roles))
+            for i, roles in enumerate(words)
+        )
+
+
+def test_enumeration_canonicalizes_no_word(monkeypatch):
+    calls = []
+
+    def counting(roles):
+        calls.append(roles)
+        return canonical_roles(roles)
+
+    monkeypatch.setattr(criteria, "canonical_roles", counting)
+    enumerate_classes.cache_clear()
+    assert len(enumerate_classes(8)) == 3299
+    assert calls == []
 
 
 def test_row_census_r4():
