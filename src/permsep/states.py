@@ -427,9 +427,6 @@ def load_state(path: str | Path) -> DensityMatrix:
 
 def state_to_dict(rho: DensityMatrix) -> dict:
     """Explicit-matrix wire format of a state."""
-    return {
-        "d": rho.dim,
-        "r": rho.parties,
-        "re": rho.matrix.real.tolist(),
-        "im": rho.matrix.imag.tolist(),
-    }
+    matrix = rho.matrix  # derived from the blocks on each read
+    return {"d": rho.dim, "r": rho.parties,
+            "re": matrix.real.tolist(), "im": matrix.imag.tolist()}

@@ -44,16 +44,11 @@ SECANT_STEPS = 8  # probe and secant steps per threshold before plain bisection
 PROBE_BETA = 2.0**-10  # the first beta a threshold search evaluates after 0
 # class_norms counts the work of one image as m^3 for each m x m block.  At
 # or below POOL_MIN_WORK a call stays in one process.  A pooled call forks
-# its workers, which costs about 25 ms plus the first import of
-# concurrent.futures; BENCH_11.json measured the break-even near 4e8 with
-# a 0.4 s worker boot, and with fork a pooled (2,6) evaluate took 0.256 s
-# against 0.251 s in one process, so the limit stands.  A chunk is the
-# index range of at most CHUNK_WORK: 33 images at n = 128, 4 at n = 243
-# or 256.
+# its workers, which costs about 25 ms; BENCH_11.json measured the
+# break-even near 4e8 with a 0.4 s worker boot, and with fork a pooled
+# (2,6) evaluate took 0.256 s against 0.251 s in one process, so the limit
+# stands.
 POOL_MIN_WORK = 4e8
-CHUNK_WORK = 7e7
-
-_pooled = None  # (rho, perms) of the call that forked this worker
 
 
 def _check_positive_finite(name: str, value: float) -> None:
@@ -142,7 +137,7 @@ def _norm_chunk(rho: DensityMatrix, perms: list) -> list[float]:
     """Trace norms of the images of rho under a run of permutations.
 
     Each image's trace norm is the product of its ``_shares``' norms, taken
-    in block order from 1.  Both the calling process and the pool's workers
+    in block order from 1.  Both the calling process and its forked workers
     run this, so a norm has the same bits whichever process computed it.
     """
     return [math.prod(trace_norm(share) for *_, share in _shares(rho, sigma))
@@ -174,12 +169,12 @@ def _noise_images(rho: DensityMatrix, cls: CriterionClass):
 
 
 def _pool_workers(work: float, n: int) -> int:
-    """Workers for a call whose images' blocks, n x n at most, add up to
-    ``work`` (m^3 for each m x m), or 0 where it stays in this process: n
-    large enough that BLAS threads already use the cores, too little work
-    to repay the pool, not Linux, no OpenBLAS thread limit, another live
-    thread that a fork would not copy, one usable core, or this process
-    is itself a worker."""
+    """Workers to fork for a call whose images' blocks, n x n at most, add
+    up to ``work`` (m^3 for each m x m), or 0 where it stays in this
+    process: n large enough that BLAS threads already use the cores, too
+    little work to repay the forks, not Linux, no OpenBLAS thread limit,
+    another live thread that a fork would not copy, one usable core, or
+    this process is a ``multiprocessing`` child."""
     if (n > SINGLE_THREAD_SVD_MAX_N or work <= POOL_MIN_WORK or sys.platform != "linux"
             or _ONE_BLAS_THREAD is None or threading.active_count() > 1):
         return 0
@@ -191,19 +186,6 @@ def _pool_workers(work: float, n: int) -> int:
     return 0 if multiprocessing.parent_process() is not None else cores - 1
 
 
-def _inherit(rho: DensityMatrix, perms: list) -> None:
-    """Pool initializer: a forked worker inherits its call's state and
-    permutations, so that a chunk sends only its range."""
-    global _pooled
-    _pooled = rho, perms
-
-
-def _pooled_chunk(start: int, stop: int) -> list[float]:
-    """The worker's norms of the images under perms[start:stop]."""
-    rho, perms = _pooled
-    return _norm_chunk(rho, perms[start:stop])
-
-
 def class_norms(
     rho: DensityMatrix, classes: tuple[CriterionClass, ...] | None = None
 ) -> list[tuple[CriterionClass, float]]:
@@ -212,58 +194,54 @@ def class_norms(
     Each norm is the product of the norms of the blocks' shares
     (``_norm_chunk``), so a product of several blocks, from
     ``tensor_product`` and kept by ``reorder_parties``, takes one small SVD
-    per block in place of one of the whole image.  This process computes
-    one image at a time from the back.  A call with enough work in blocks
-    of at most SINGLE_THREAD_SVD_MAX_N (see ``POOL_MIN_WORK`` and
-    ``_pool_workers``) forks a pool of one worker per usable core but one
-    and joins it before it returns.  The workers inherit rho and the
-    permutations, and take chunks from the front: about CHUNK_WORK each,
-    at most a 2 * (workers + 1)-th of what is left and two waiting or
-    running per worker, so the ends meet with little left to wait for.
-    OpenBLAS stays on one thread from before the fork until after the
-    join, so no worker re-creates BLAS threads.  The norms are the same
-    bits either way.  Nothing is cancelled: on Python 3.10 and 3.11 a pool
-    that breaks while it holds a cancelled future leaves the other futures
-    unresolved.  If a worker dies, this process computes what it lost.
+    per block in place of one of the whole image.  A call with enough work
+    in blocks of at most SINGLE_THREAD_SVD_MAX_N (see ``_pool_workers``)
+    forks k workers.  Worker j inherits rho and the permutations, writes
+    the norms of every (k + 1)-th image from j to its own pipe and exits;
+    this process computes the stride from 0, reads the pipes, and computes
+    itself the stride of any worker that died.  Each pipe is closed before
+    its worker is reaped, so no worker blocks on a write, and OpenBLAS
+    stays on one thread from before the first fork until after the last
+    reap.  The norms are the same bits in any process.
     """
     if classes is None:
         classes = enumerate_classes(rho.parties)
+    for cls in classes:
+        if cls.parties != rho.parties:
+            raise ValueError(f"a class on {cls.parties} parties given for a state "
+                             f"on {rho.parties} parties")
     perms = [to_permutation(cls) for cls in classes]
     work = sum(len(m) ** 3 for _, m in rho.blocks)  # of one image
-    workers = _pool_workers(len(perms) * work, max(len(m) for _, m in rho.blocks))
-    size = max(1, int(CHUNK_WORK / work))
+    k = _pool_workers(len(perms) * work, max(len(m) for _, m in rho.blocks))
     norms: list = [None] * len(perms)
-    with contextlib.ExitStack() as pool:
-        if workers:  # the imports cost more than a small call
-            import multiprocessing
-            from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-            pool.enter_context(_ONE_BLAS_THREAD)  # left after the workers are joined
-            executor = pool.enter_context(ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_inherit, initargs=(rho, perms),
-            ))
-        sent = []  # (start, stop, future) of each chunk sent
-        broken = False
-        lo, hi = 0, len(perms)  # perms[lo:hi] are neither sent nor computed
-        while lo < hi:
-            if not broken and sum(not f.done() for *_, f in sent) < 2 * workers:
-                stop = lo + max(1, min(size, (hi - lo) // (2 * (workers + 1))))
+    with contextlib.ExitStack() as stack:
+        if k:
+            stack.enter_context(_ONE_BLAS_THREAD)  # left after the last reap
+        pipes = []  # the read end of each worker's pipe, from worker 1
+        for j in range(1, k + 1):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # worker j: never returns
+                code = 1
                 try:
-                    future = executor.submit(_pooled_chunk, lo, stop)
-                except BrokenProcessPool:
-                    broken = True
-                else:
-                    sent.append((lo, stop, future))
-                    lo = stop
-            else:
-                hi -= 1
-                norms[hi:hi + 1] = _norm_chunk(rho, perms[hi:hi + 1])
-        for start, stop, future in sent:
-            try:
-                norms[start:stop] = future.result()
-            except BrokenProcessPool:
-                norms[start:stop] = _norm_chunk(rho, perms[start:stop])
+                    # the earlier workers' read ends stay open here, but
+                    # those workers are reaped after this one
+                    os.close(read)
+                    with open(write, "wb") as out:
+                        out.write(np.array(_norm_chunk(rho, perms[j::k + 1])).tobytes())
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            stack.callback(os.waitpid, pid, 0)
+            pipes.append(stack.enter_context(open(read, "rb")))  # closed before the reap
+        norms[0::k + 1] = _norm_chunk(rho, perms[0::k + 1])
+        for j, pipe in enumerate(pipes, 1):
+            data = pipe.read()
+            if len(data) == 8 * len(perms[j::k + 1]):
+                norms[j::k + 1] = np.frombuffer(data).tolist()
+            else:  # the worker died before it wrote its stride
+                norms[j::k + 1] = _norm_chunk(rho, perms[j::k + 1])
     return list(zip(classes, norms))
 
 

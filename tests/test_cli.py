@@ -446,15 +446,29 @@ needs_fork_pool = pytest.mark.skipif(
     sys.platform != "linux" or verify._ONE_BLAS_THREAD is None, reason="no pool here"
 )
 
-# evaluate with the pool forced on one worker, then the children still alive
-# and whether the pool ran
-_POOLED_CLI = """
-import multiprocessing, sys
+# os.fork wrapped to count its calls, each still made
+_COUNT_FORKS = """
+import os
+forks = []
+fork = os.fork
+os.fork = lambda: forks.append(1) or fork()
+"""
+
+# evaluate with the pool forced on one worker, then the forks made, whether
+# a child is left unreaped and whether concurrent.futures was imported
+_POOLED_CLI = _COUNT_FORKS + """
+import sys
 from permsep import cli, verify
 verify.POOL_MIN_WORK = 0
 verify._usable_cores = lambda: 2
 code = cli.main(sys.argv[1:])
-print(multiprocessing.active_children(), "concurrent.futures" in sys.modules, file=sys.stderr)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    left = "no child"
+else:
+    left = "a child"
+print(len(forks), left, "concurrent.futures" in sys.modules, file=sys.stderr)
 sys.exit(code)
 """
 
@@ -468,7 +482,7 @@ def test_a_pooled_cli_run_joins_its_workers(tmp_path, capsys):
         [sys.executable, "-W", "error", "-X", "dev", "-c", _POOLED_CLI, *argv],
         env=_src_env(), capture_output=True, text=True, timeout=120,
     )
-    assert (proc.returncode, proc.stderr) == (0, "[] True\n")
+    assert (proc.returncode, proc.stderr) == (0, "1 no child False\n")
     # the pooled stdout is the serial one, byte for byte
     assert run(capsys, *argv) == (0, proc.stdout, "")
 
@@ -489,9 +503,8 @@ sys.exit(code)
 @needs_fork_pool
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="lists processes through /proc")
 def test_a_pooled_cli_run_leaves_no_process_behind(tmp_path):
-    # a fork pool's semaphores are unlinked when made, so no resource
-    # tracker starts, and the workers are joined before the call returns:
-    # the command's session ends with it
+    # the workers are plain forks, so no resource tracker starts, and they
+    # are reaped before the call returns: the command's session ends with it
     path = tmp_path / "state.json"
     path.write_text(json.dumps(state_to_dict(random_state(2, 5, np.random.default_rng(3)))))
     argv = ["evaluate", "--state", str(path)]
@@ -515,8 +528,9 @@ def test_a_pooled_cli_run_leaves_no_process_behind(tmp_path):
 
 
 # a script with no __main__ guard that pools: a forked worker does not
-# import the script again, so the top level runs once
-_UNGUARDED = """
+# import the script again, so the top level runs once, and it exits without
+# flushing the output it inherited
+_UNGUARDED = _COUNT_FORKS + """
 import sys
 import numpy as np
 from permsep import random_state, verify
@@ -524,7 +538,7 @@ verify.POOL_MIN_WORK = 0
 verify._usable_cores = lambda: 2
 print("top level")
 norms = verify.class_norms(random_state(2, 5, np.random.default_rng(3)))
-print(len(norms), "concurrent.futures" in sys.modules)
+print(len(norms), len(forks), "concurrent.futures" in sys.modules)
 """
 
 
@@ -536,4 +550,4 @@ def test_an_unguarded_script_pools_cleanly(tmp_path):
         [sys.executable, "-W", "error", "-X", "dev", str(script)],
         env=_src_env(), capture_output=True, text=True, timeout=120,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "top level\n71 True\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "top level\n71 1 False\n", "")

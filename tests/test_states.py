@@ -21,6 +21,7 @@ from permsep.perms import (
 )
 from permsep.states import (
     SINGLE_THREAD_SVD_MAX_N,
+    DensityMatrix,
     apply_criterion,
     bell_state,
     chessboard_state,
@@ -580,6 +581,22 @@ def test_state_dict_round_trip():
     again = state_from_dict(state_to_dict(rho))
     assert np.allclose(again.matrix, rho.matrix, atol=0)
     assert (again.dim, again.parties) == (2, 2)
+
+
+def test_state_to_dict_derives_the_matrix_once(monkeypatch):
+    # a relabeled product multiplies out its blocks and moves its parties
+    # on every read of matrix
+    rng = np.random.default_rng(67)
+    rho = reorder_parties(tensor_product(random_state(2, 2, rng), random_state(2, 1, rng)),
+                          [3, 1, 2])
+    dense = rho.matrix
+    reads = []
+    matrix = DensityMatrix.matrix
+    monkeypatch.setattr(DensityMatrix, "matrix",
+                        property(lambda self: reads.append(self) or matrix.fget(self)))
+    data = state_to_dict(rho)
+    assert reads == [rho]
+    assert data == {"d": 2, "r": 3, "re": dense.real.tolist(), "im": dense.imag.tolist()}
 
 
 def test_state_file_round_trip(tmp_path):

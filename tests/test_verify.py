@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 import re
+import signal
 import sys
 import threading
 from pathlib import Path
@@ -778,31 +779,74 @@ def test_tolerance_must_be_positive_and_finite(tolerance):
         config(equality_threshold=tolerance)
 
 
+@pytest.mark.parametrize("parties", [4, 2])
+def test_classes_on_another_party_count_are_refused(monkeypatch, parties):
+    # an 8-slot class on a 3-party state would read its first 6 images
+    # and give wrong norms; the refusal comes before any worker is forked
+    monkeypatch.setattr(verify, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(verify, "POOL_MIN_WORK", 0)
+    forks = _counting_forks(monkeypatch)
+    rho = random_state(2, 3, np.random.default_rng(101))
+    with pytest.raises(ValueError, match=rf"class on {parties} parties .* state on 3 parties"):
+        class_norms(rho, enumerate_classes(parties))
+    assert forks == []
+
+
 # --- process pool -------------------------------------------------------------------
+
+def _out_of_time(signum, frame):
+    raise TimeoutError("a pooled test ran for 120 s")
+
 
 @pytest.fixture
 def pool_on_two_cores(monkeypatch):
-    """Any call of class_norms forks a pool of one worker."""
+    """Any call of class_norms forks one worker; a call that waits on a
+    worker that never exits fails the test after 120 s."""
     if sys.platform != "linux" or verify._ONE_BLAS_THREAD is None:
         pytest.skip("a pool forks only on Linux, under the OpenBLAS thread limit")
     monkeypatch.setattr(verify, "_usable_cores", lambda: 2)
     monkeypatch.setattr(verify, "POOL_MIN_WORK", 0)
-    yield
-    assert multiprocessing.active_children() == []  # the call joined its workers
+    handler = signal.signal(signal.SIGALRM, _out_of_time)
+    signal.alarm(120)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    assert _no_child_left()  # the call reaped its workers
+
+
+def _no_child_left() -> bool:
+    """Whether this process has no child, alive or unreaped; unlike
+    ``multiprocessing.active_children``, this sees a plain ``os.fork``."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def _in_a_worker(monkeypatch, act):
     """Wrap ``_norm_chunk`` so that a forked worker, which inherits the
-    wrapper, calls ``act(norms)`` on the norms of each chunk it takes."""
+    wrapper, calls ``act(norms)`` on the norms of its stride."""
     norm_chunk = verify._norm_chunk
+    caller = os.getpid()
 
     def chunk(rho, perms):
         norms = norm_chunk(rho, perms)
-        if multiprocessing.parent_process() is not None:
+        if os.getpid() != caller:
             act(norms)
         return norms
 
     monkeypatch.setattr(verify, "_norm_chunk", chunk)
+
+
+def _counting_forks(monkeypatch):
+    """Count calls of ``os.fork``, each still made."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    return forks
 
 
 def _lifted_and_relabeled():
@@ -839,7 +883,67 @@ def test_a_killed_worker_loses_no_norm(pool_on_two_cores, monkeypatch, tmp_path)
     _in_a_worker(monkeypatch, die)
     pooled = class_norms(rho)
     assert (tmp_path / "died").exists()
-    assert multiprocessing.active_children() == []
+    assert _no_child_left()
+    monkeypatch.setattr(verify, "POOL_MIN_WORK", float("inf"))
+    assert pooled == class_norms(rho)
+
+
+def test_a_worker_that_raises_loses_no_norm(pool_on_two_cores, monkeypatch, tmp_path):
+    rho = random_state(2, 5, np.random.default_rng(89))
+
+    def fail(norms):
+        (tmp_path / "raised").touch()
+        raise RuntimeError("a worker's error")
+
+    _in_a_worker(monkeypatch, fail)
+    pooled = class_norms(rho)
+    assert (tmp_path / "raised").exists()
+    monkeypatch.setattr(verify, "POOL_MIN_WORK", float("inf"))
+    assert pooled == class_norms(rho)
+
+
+def test_a_worker_that_writes_part_of_its_stride_loses_no_norm(pool_on_two_cores, monkeypatch):
+    # the worker writes the first half of its norms to its pipe and exits
+    # with status 0: the short read alone tells the caller to compute it all
+    rho = random_state(2, 5, np.random.default_rng(89))
+    pipes = []
+    pipe = os.pipe
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+
+    def half(norms):
+        os.write(pipes[-1][1], np.array(norms[:len(norms) // 2]).tobytes())
+        os._exit(0)
+
+    _in_a_worker(monkeypatch, half)
+    calls = _counting_svd(monkeypatch)
+    pooled = class_norms(rho)
+    assert len(pipes) == 1 and len(calls) == len(pooled)  # this process computed all
+    monkeypatch.setattr(verify, "POOL_MIN_WORK", float("inf"))
+    assert pooled == class_norms(rho)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files in /proc")
+def test_an_error_in_the_callers_stride_leaves_no_child_or_pipe(pool_on_two_cores, monkeypatch):
+    # the caller closes the worker's pipe before it reaps the worker, so
+    # the worker's blocked write fails and the worker exits
+    rho = random_state(2, 5, np.random.default_rng(89))
+    norm_chunk = verify._norm_chunk
+    caller = os.getpid()
+
+    def chunk(rho, perms):
+        if os.getpid() == caller:
+            raise RuntimeError("the caller's error")
+        return norm_chunk(rho, perms) * 1000  # more than a pipe holds: the write blocks
+
+    forks = _counting_forks(monkeypatch)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    with monkeypatch.context() as patched:
+        patched.setattr(verify, "_norm_chunk", chunk)
+        with pytest.raises(RuntimeError, match="the caller's error"):
+            class_norms(rho)
+    assert forks == [caller] and _no_child_left()
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+    pooled = class_norms(rho)
     monkeypatch.setattr(verify, "POOL_MIN_WORK", float("inf"))
     assert pooled == class_norms(rho)
 
@@ -858,22 +962,27 @@ def test_a_worker_never_re_creates_blas_threads(pool_on_two_cores, monkeypatch, 
     assert threads == ["1"]
 
 
-def test_a_chunk_sends_only_its_range(pool_on_two_cores, monkeypatch):
-    from concurrent.futures import ProcessPoolExecutor
+def test_the_caller_and_each_worker_compute_one_stride(pool_on_two_cores, monkeypatch,
+                                                       tmp_path):
+    # on 3 cores two workers fork; each process records the images it took
+    monkeypatch.setattr(verify, "_usable_cores", lambda: 3)
+    norm_chunk = verify._norm_chunk
+    caller = os.getpid()
 
-    sent = []
-    submit = ProcessPoolExecutor.submit
+    def chunk(rho, perms):
+        path = tmp_path / ("caller" if os.getpid() == caller else str(os.getpid()))
+        path.write_text(json.dumps([sigma.images for sigma in perms]))
+        return norm_chunk(rho, perms)
 
-    def recorded(self, fn, *args):
-        sent.append(args)
-        return submit(self, fn, *args)
-
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", recorded)
+    monkeypatch.setattr(verify, "_norm_chunk", chunk)
     rho = random_state(2, 5, np.random.default_rng(89))
     pooled = class_norms(rho)
-    assert sent and all(len(args) == 2 and {type(i) for i in args} == {int} for args in sent)
-    # the chunks tile the front of the list
-    assert [start for start, _ in sent] == [0] + [stop for _, stop in sent[:-1]]
+    taken = {path.name: [tuple(images) for images in json.loads(path.read_text())]
+             for path in tmp_path.iterdir()}
+    every = [to_permutation(cls).images for cls in enumerate_classes(5)]
+    assert taken.pop("caller") == every[0::3]
+    assert sorted(taken.values()) == [every[1::3], every[2::3]]
+    assert [len(every[j::3]) for j in range(3)] == [24, 24, 23]
     monkeypatch.setattr(verify, "POOL_MIN_WORK", float("inf"))
     assert pooled == class_norms(rho)
 
@@ -883,17 +992,17 @@ def test_a_second_thread_keeps_the_call_in_this_process(pool_on_two_cores, monke
     # class_norms computes every image here
     rho = random_state(2, 5, np.random.default_rng(89))
     calls = _counting_svd(monkeypatch)
+    forks = _counting_forks(monkeypatch)
     done = threading.Event()
     thread = threading.Thread(target=done.wait, args=(120,))
     thread.start()
     try:
         norms = class_norms(rho)
-        started = multiprocessing.active_children()
     finally:
         done.set()
         thread.join(timeout=120)
     assert not thread.is_alive()
-    assert started == [] and len(calls) == len(norms)
+    assert forks == [] and len(calls) == len(norms)
     monkeypatch.setattr(verify, "POOL_MIN_WORK", float("inf"))
     assert norms == class_norms(rho)
 
@@ -910,7 +1019,7 @@ def test_no_pool_below_the_break_even(monkeypatch):
     evaluate_state(random_state(3, 4, rng))
     beta_sweep()
     assert len(workers) == 8 and not any(workers)
-    assert multiprocessing.active_children() == []
+    assert _no_child_left()
 
 
 def test_one_core_a_large_matrix_or_a_worker_runs_serially(pool_on_two_cores, monkeypatch):
