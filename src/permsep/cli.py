@@ -21,7 +21,7 @@ from .criteria import (
     to_permutation,
 )
 from .perms import cycle_string
-from .states import BUILTIN_STATES, load_state
+from .states import BUILTIN_STATES, load_state, state_from_dict
 from .verify import (
     LARGE_PARTIES,
     VerificationConfig,
@@ -131,12 +131,12 @@ def _cmd_count(args) -> int:
 def _cmd_evaluate(args) -> int:
     try:
         if args.builtin:
-            rho = BUILTIN_STATES[args.builtin]()
+            rho = state_from_dict({"builtin": args.builtin})
             source = f"builtin:{args.builtin}"
         else:
             rho = load_state(args.state)
             source = args.state
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: invalid state: {exc}", file=sys.stderr)
         return USAGE_ERROR
     for key, expected, actual in (("d", args.dim, rho.dim), ("r", args.parties, rho.parties)):

@@ -114,10 +114,7 @@ def density_matrix(matrix: np.ndarray, dim: int, parties: int) -> DensityMatrix:
     tr = np.trace(matrix)
     if abs(tr - 1) > TRACE_TOL:
         raise ValueError(f"trace: expected 1, got {np.complex128(tr):.15g}")
-    # like trace_norm's SVD, a small eigvalsh is faster on one thread
-    limit = _ONE_BLAS_THREAD if len(matrix) <= SINGLE_THREAD_SVD_MAX_N else None
-    with limit or contextlib.nullcontext():
-        lo = np.linalg.eigvalsh(matrix).min()
+    lo = eigenvalues(matrix).min()
     if lo < EIGENVALUE_FLOOR:
         raise ValueError(f"positivity: minimum eigenvalue {lo:.3e}")
     matrix.setflags(write=False)
@@ -209,23 +206,33 @@ def _probe_openblas() -> _OneBlasThread | None:
 _ONE_BLAS_THREAD = _probe_openblas()
 
 
+def _blas_threads(n: int):
+    """OpenBLAS on one thread, which is faster there, for a solve of at most
+    SINGLE_THREAD_SVD_MAX_N rows and columns, else on the caller's count."""
+    return (_ONE_BLAS_THREAD if n <= SINGLE_THREAD_SVD_MAX_N else None) or contextlib.nullcontext()
+
+
+def eigenvalues(matrix: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, under ``_blas_threads``:
+    every eigensolve in permsep runs here."""
+    with _blas_threads(len(matrix)):
+        return np.linalg.eigvalsh(matrix)
+
+
 def trace_norm(matrix: np.ndarray) -> float:
     """Sum of singular values of an m x n matrix, from a values-only SVD.
 
     A stack of shape (..., m, n) stands for the block-diagonal matrix of its
     m x n blocks: its trace norm is the sum of every block's singular
     values, from one SVD call over the stack.  Every SVD in permsep runs
-    here.  Up to SINGLE_THREAD_SVD_MAX_N rows and columns per block the SVD
-    runs on one OpenBLAS thread, which is faster there, and the caller's
-    thread count is restored after.
+    here, under ``_blas_threads`` of the longer side of a block.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim < 2:
         raise ValueError(
             f"trace norm needs a 2-D matrix or a stack of them, got shape {matrix.shape}"
         )
-    limit = _ONE_BLAS_THREAD if max(matrix.shape[-2:]) <= SINGLE_THREAD_SVD_MAX_N else None
-    with limit or contextlib.nullcontext():
+    with _blas_threads(max(matrix.shape[-2:])):
         return float(np.linalg.svd(matrix, compute_uv=False).sum())
 
 

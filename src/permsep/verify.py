@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import mmap
 import os
 import sys
 import threading
@@ -33,6 +34,7 @@ from .states import (
     DensityMatrix,
     apply_criterion,
     chessboard_state,
+    eigenvalues,
     random_state,
     tensor_product,
     trace_norm,
@@ -160,7 +162,7 @@ def _noise_images(rho: DensityMatrix, cls: CriterionClass):
     h, low, high = np.ones(1), np.ones((1, 1)), np.ones((1, 1))
     for positions, slots, share in _shares(rho, to_permutation(cls)):
         if all(cls.roles[p - 1] in (Role.FREE, Role.LOOP) for p in positions):
-            h = np.kron(h, np.linalg.eigvalsh(share))
+            h = np.kron(h, eigenvalues(share))
         else:
             m = rho.dim ** len(positions)
             low = np.kron(low, share)
@@ -174,16 +176,13 @@ def _pool_workers(work: float, n: int) -> int:
     process: n large enough that BLAS threads already use the cores, too
     little work to repay the forks, not Linux, no OpenBLAS thread limit,
     another live thread that a fork would not copy, one usable core, or
-    this process is a ``multiprocessing`` child."""
+    this process is a ``multiprocessing`` child (never imported here)."""
     if (n > SINGLE_THREAD_SVD_MAX_N or work <= POOL_MIN_WORK or sys.platform != "linux"
             or _ONE_BLAS_THREAD is None or threading.active_count() > 1):
         return 0
     cores = _usable_cores()
-    if cores < 2:
-        return 0
-    import multiprocessing  # here, so that importing permsep stays as fast as before
-
-    return 0 if multiprocessing.parent_process() is not None else cores - 1
+    mp = sys.modules.get("multiprocessing")  # loaded in every multiprocessing child
+    return 0 if cores < 2 or mp is not None and mp.parent_process() is not None else cores - 1
 
 
 def class_norms(
@@ -196,13 +195,13 @@ def class_norms(
     ``tensor_product`` and kept by ``reorder_parties``, takes one small SVD
     per block in place of one of the whole image.  A call with enough work
     in blocks of at most SINGLE_THREAD_SVD_MAX_N (see ``_pool_workers``)
-    forks k workers.  Worker j inherits rho and the permutations, writes
-    the norms of every (k + 1)-th image from j to its own pipe and exits;
-    this process computes the stride from 0, reads the pipes, and computes
-    itself the stride of any worker that died.  Each pipe is closed before
-    its worker is reaped, so no worker blocks on a write, and OpenBLAS
-    stays on one thread from before the first fork until after the last
-    reap.  The norms are the same bits in any process.
+    forks k workers.  Worker j inherits rho, the permutations and one
+    float64 array in shared memory, fills in the norms of every (k + 1)-th
+    image from j, and exits with status 0, or 1 on any error.  This process
+    computes the stride from 0, reaps every worker, and then computes
+    itself the stride of each worker whose status is not 0.  OpenBLAS stays
+    on one thread from before the first fork until after the last reap.
+    The norms are the same bits in any process.
     """
     if classes is None:
         classes = enumerate_classes(rho.parties)
@@ -213,36 +212,27 @@ def class_norms(
     perms = [to_permutation(cls) for cls in classes]
     work = sum(len(m) ** 3 for _, m in rho.blocks)  # of one image
     k = _pool_workers(len(perms) * work, max(len(m) for _, m in rho.blocks))
-    norms: list = [None] * len(perms)
+    if not k:
+        return list(zip(classes, _norm_chunk(rho, perms)))
+    norms = np.ndarray(len(perms), buffer=mmap.mmap(-1, 8 * len(perms)))  # shared float64
+    status = {}  # each worker's wait status, by its first image
     with contextlib.ExitStack() as stack:
-        if k:
-            stack.enter_context(_ONE_BLAS_THREAD)  # left after the last reap
-        pipes = []  # the read end of each worker's pipe, from worker 1
+        stack.enter_context(_ONE_BLAS_THREAD)  # left after the last reap
         for j in range(1, k + 1):
-            read, write = os.pipe()
             pid = os.fork()
             if pid == 0:  # worker j: never returns
                 code = 1
                 try:
-                    # the earlier workers' read ends stay open here, but
-                    # those workers are reaped after this one
-                    os.close(read)
-                    with open(write, "wb") as out:
-                        out.write(np.array(_norm_chunk(rho, perms[j::k + 1])).tobytes())
+                    norms[j::k + 1] = _norm_chunk(rho, perms[j::k + 1])
                     code = 0
                 finally:
                     os._exit(code)
-            os.close(write)
-            stack.callback(os.waitpid, pid, 0)
-            pipes.append(stack.enter_context(open(read, "rb")))  # closed before the reap
+            stack.callback(lambda j, pid: status.update({j: os.waitpid(pid, 0)[1]}), j, pid)
         norms[0::k + 1] = _norm_chunk(rho, perms[0::k + 1])
-        for j, pipe in enumerate(pipes, 1):
-            data = pipe.read()
-            if len(data) == 8 * len(perms[j::k + 1]):
-                norms[j::k + 1] = np.frombuffer(data).tolist()
-            else:  # the worker died before it wrote its stride
-                norms[j::k + 1] = _norm_chunk(rho, perms[j::k + 1])
-    return list(zip(classes, norms))
+    for j, code in status.items():
+        if code:  # the worker died before it filled its stride
+            norms[j::k + 1] = _norm_chunk(rho, perms[j::k + 1])
+    return list(zip(classes, norms.tolist()))
 
 
 def evaluate_state(

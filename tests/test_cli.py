@@ -455,7 +455,8 @@ os.fork = lambda: forks.append(1) or fork()
 """
 
 # evaluate with the pool forced on one worker, then the forks made, whether
-# a child is left unreaped and whether concurrent.futures was imported
+# a child is left unreaped and whether multiprocessing and
+# concurrent.futures were imported
 _POOLED_CLI = _COUNT_FORKS + """
 import sys
 from permsep import cli, verify
@@ -468,7 +469,8 @@ except ChildProcessError:
     left = "no child"
 else:
     left = "a child"
-print(len(forks), left, "concurrent.futures" in sys.modules, file=sys.stderr)
+print(len(forks), left, "multiprocessing" in sys.modules, "concurrent.futures" in sys.modules,
+      file=sys.stderr)
 sys.exit(code)
 """
 
@@ -482,7 +484,7 @@ def test_a_pooled_cli_run_joins_its_workers(tmp_path, capsys):
         [sys.executable, "-W", "error", "-X", "dev", "-c", _POOLED_CLI, *argv],
         env=_src_env(), capture_output=True, text=True, timeout=120,
     )
-    assert (proc.returncode, proc.stderr) == (0, "1 no child False\n")
+    assert (proc.returncode, proc.stderr) == (0, "1 no child False False\n")
     # the pooled stdout is the serial one, byte for byte
     assert run(capsys, *argv) == (0, proc.stdout, "")
 
@@ -538,7 +540,8 @@ verify.POOL_MIN_WORK = 0
 verify._usable_cores = lambda: 2
 print("top level")
 norms = verify.class_norms(random_state(2, 5, np.random.default_rng(3)))
-print(len(norms), len(forks), "concurrent.futures" in sys.modules)
+print(len(norms), len(forks), "multiprocessing" in sys.modules,
+      "concurrent.futures" in sys.modules)
 """
 
 
@@ -550,4 +553,4 @@ def test_an_unguarded_script_pools_cleanly(tmp_path):
         [sys.executable, "-W", "error", "-X", "dev", str(script)],
         env=_src_env(), capture_output=True, text=True, timeout=120,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "top level\n71 1 False\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "top level\n71 1 False False\n", "")

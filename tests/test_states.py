@@ -41,7 +41,7 @@ from permsep.states import (
     tensor_product,
     trace_norm,
 )
-from permsep.verify import class_norms
+from permsep.verify import class_norms, noise_thresholds
 
 from conftest import apply_reference, random_complex, random_hermitian
 
@@ -255,6 +255,7 @@ def test_trace_norm_limits_small_svds_and_restores_thread_count(blas_limit, monk
 
 def test_small_states_are_validated_on_one_thread(blas_limit, monkeypatch):
     before = blas_limit.get()
+    bell = bell_state()
     seen = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -267,7 +268,9 @@ def test_small_states_are_validated_on_one_thread(blas_limit, monkeypatch):
     maximally_mixed(17, 2)  # n = 289
     with pytest.raises(ValueError, match="positivity"):
         density_matrix(np.diag([1.5, -0.5]), 2, 1)
-    assert seen == [1, before, 1]
+    # the noise images of the one class of roles F and L that fires, QT
+    noise_thresholds(bell, 1e-9)
+    assert seen == [1, before, 1, 1]
     assert blas_limit.get() == before
 
 

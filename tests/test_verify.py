@@ -3,6 +3,7 @@
 import functools
 import itertools
 import json
+import mmap
 import multiprocessing
 import os
 import re
@@ -903,29 +904,30 @@ def test_a_worker_that_raises_loses_no_norm(pool_on_two_cores, monkeypatch, tmp_
 
 
 def test_a_worker_that_writes_part_of_its_stride_loses_no_norm(pool_on_two_cores, monkeypatch):
-    # the worker writes the first half of its norms to its pipe and exits
-    # with status 0: the short read alone tells the caller to compute it all
+    # the worker fills the first half of its stride in the shared array and
+    # exits with status 1: the status alone tells the caller to compute it all
     rho = random_state(2, 5, np.random.default_rng(89))
-    pipes = []
-    pipe = os.pipe
-    monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+    maps = []
+    mapping = mmap.mmap
+    monkeypatch.setattr(mmap, "mmap", lambda *args: maps.append(mapping(*args)) or maps[-1])
 
     def half(norms):
-        os.write(pipes[-1][1], np.array(norms[:len(norms) // 2]).tobytes())
-        os._exit(0)
+        stride = np.ndarray(len(maps[-1]) // 8, buffer=maps[-1])[1::2]  # worker 1 of 1
+        stride[:len(norms) // 2] = norms[:len(norms) // 2]
+        os._exit(1)
 
     _in_a_worker(monkeypatch, half)
     calls = _counting_svd(monkeypatch)
     pooled = class_norms(rho)
-    assert len(pipes) == 1 and len(calls) == len(pooled)  # this process computed all
+    assert len(maps) == 1 and len(calls) == len(pooled)  # this process computed all
     monkeypatch.setattr(verify, "POOL_MIN_WORK", float("inf"))
     assert pooled == class_norms(rho)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files in /proc")
 def test_an_error_in_the_callers_stride_leaves_no_child_or_pipe(pool_on_two_cores, monkeypatch):
-    # the caller closes the worker's pipe before it reaps the worker, so
-    # the worker's blocked write fails and the worker exits
+    # the worker fills its stride in shared memory, with no pipe to block
+    # on, and the caller reaps it before the error leaves class_norms
     rho = random_state(2, 5, np.random.default_rng(89))
     norm_chunk = verify._norm_chunk
     caller = os.getpid()
@@ -933,7 +935,7 @@ def test_an_error_in_the_callers_stride_leaves_no_child_or_pipe(pool_on_two_core
     def chunk(rho, perms):
         if os.getpid() == caller:
             raise RuntimeError("the caller's error")
-        return norm_chunk(rho, perms) * 1000  # more than a pipe holds: the write blocks
+        return norm_chunk(rho, perms)
 
     forks = _counting_forks(monkeypatch)
     fds = sorted(os.listdir("/proc/self/fd"))
