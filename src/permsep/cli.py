@@ -212,7 +212,7 @@ def _cmd_verify(args) -> int:
             print(f"warning: {warning}")
         print("all distinct" if report.all_distinct else
               "WARNING: coinciding norms (possible non-generic state)")
-    # coinciding norms on a random state are a genericity warning, not a failure
+    # coinciding norms are a warning, not a failure: PSD images all have norm 1
     return 0
 
 

@@ -49,8 +49,11 @@ class DensityMatrix:
     """
 
     dim: int
-    parties: int
     blocks: tuple[tuple[tuple[int, ...], np.ndarray], ...]
+
+    @property
+    def parties(self) -> int:
+        return sum(len(pos) for pos, _ in self.blocks)  # the positions are 1..r, once each
 
     @property
     def size(self) -> int:
@@ -118,7 +121,7 @@ def density_matrix(matrix: np.ndarray, dim: int, parties: int) -> DensityMatrix:
     if lo < EIGENVALUE_FLOOR:
         raise ValueError(f"positivity: minimum eigenvalue {lo:.3e}")
     matrix.setflags(write=False)
-    return DensityMatrix(dim, parties, ((tuple(range(1, parties + 1)), matrix),))
+    return DensityMatrix(dim, ((tuple(range(1, parties + 1)), matrix),))
 
 
 def apply_criterion(
@@ -206,16 +209,16 @@ def _probe_openblas() -> _OneBlasThread | None:
 _ONE_BLAS_THREAD = _probe_openblas()
 
 
-def _blas_threads(n: int):
-    """OpenBLAS on one thread, which is faster there, for a solve of at most
-    SINGLE_THREAD_SVD_MAX_N rows and columns, else on the caller's count."""
-    return (_ONE_BLAS_THREAD if n <= SINGLE_THREAD_SVD_MAX_N else None) or contextlib.nullcontext()
+def _blas_threads(n: int) -> _OneBlasThread | None:
+    """The limit a solve of at most n rows and columns runs under: OpenBLAS
+    on one thread up to SINGLE_THREAD_SVD_MAX_N, where it is faster, else None."""
+    return _ONE_BLAS_THREAD if n <= SINGLE_THREAD_SVD_MAX_N else None
 
 
 def eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, under ``_blas_threads``:
     every eigensolve in permsep runs here."""
-    with _blas_threads(len(matrix)):
+    with _blas_threads(len(matrix)) or contextlib.nullcontext():
         return np.linalg.eigvalsh(matrix)
 
 
@@ -232,7 +235,7 @@ def trace_norm(matrix: np.ndarray) -> float:
         raise ValueError(
             f"trace norm needs a 2-D matrix or a stack of them, got shape {matrix.shape}"
         )
-    with _blas_threads(max(matrix.shape[-2:])):
+    with _blas_threads(max(matrix.shape[-2:])) or contextlib.nullcontext():
         return float(np.linalg.svd(matrix, compute_uv=False).sum())
 
 
@@ -306,9 +309,7 @@ def random_pure_vector(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def product_state(vectors: list[np.ndarray]) -> np.ndarray:
     """Projector onto the tensor product of single-party unit vectors."""
-    ket = vectors[0]
-    for v in vectors[1:]:
-        ket = np.kron(ket, v)
+    ket = functools.reduce(np.kron, vectors)
     return np.outer(ket, ket.conj())
 
 
@@ -338,7 +339,7 @@ def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     if a.dim != b.dim:
         raise ValueError(f"local dimensions differ: {a.dim} vs {b.dim}")
     shifted = tuple((tuple(p + a.parties for p in pos), m) for pos, m in b.blocks)
-    return DensityMatrix(a.dim, a.parties + b.parties, a.blocks + shifted)
+    return DensityMatrix(a.dim, a.blocks + shifted)
 
 
 def maximally_mixed(dim: int, parties: int = 1) -> DensityMatrix:
@@ -351,10 +352,8 @@ def mix_with_noise(rho: DensityMatrix, beta: float) -> DensityMatrix:
     """(1 - beta) * rho + beta * I/n."""
     if not 0 <= beta <= 1:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
-    n = rho.size
-    return density_matrix(
-        (1 - beta) * rho.matrix + beta * np.eye(n) / n, rho.dim, rho.parties
-    )
+    noisy = (1 - beta) * rho.matrix + beta * np.eye(rho.size) / rho.size
+    return density_matrix(noisy, rho.dim, rho.parties)
 
 
 def reorder_parties(rho: DensityMatrix, order: list[int]) -> DensityMatrix:
@@ -367,7 +366,7 @@ def reorder_parties(rho: DensityMatrix, order: list[int]) -> DensityMatrix:
         raise ValueError(f"order {order} is not a permutation of 1..{r}")
     where = {src: j for j, src in enumerate(order, start=1)}
     blocks = tuple((tuple(where[p] for p in pos), m) for pos, m in rho.blocks)
-    return DensityMatrix(rho.dim, r, blocks)
+    return DensityMatrix(rho.dim, blocks)
 
 
 BUILTIN_STATES = {"chessboard": chessboard_state, "bell": bell_state}

@@ -29,9 +29,8 @@ from .criteria import (
 )
 from .perms import global_transpose, norm_group
 from .states import (
-    _ONE_BLAS_THREAD,
-    SINGLE_THREAD_SVD_MAX_N,
     DensityMatrix,
+    _blas_threads,
     apply_criterion,
     chessboard_state,
     eigenvalues,
@@ -170,15 +169,15 @@ def _noise_images(rho: DensityMatrix, cls: CriterionClass):
     return h[:, None, None] * low, (high / len(h))[None]
 
 
-def _pool_workers(work: float, n: int) -> int:
-    """Workers to fork for a call whose images' blocks, n x n at most, add
-    up to ``work`` (m^3 for each m x m), or 0 where it stays in this
-    process: n large enough that BLAS threads already use the cores, too
-    little work to repay the forks, not Linux, no OpenBLAS thread limit,
-    another live thread that a fork would not copy, one usable core, or
-    this process is a ``multiprocessing`` child (never imported here)."""
-    if (n > SINGLE_THREAD_SVD_MAX_N or work <= POOL_MIN_WORK or sys.platform != "linux"
-            or _ONE_BLAS_THREAD is None or threading.active_count() > 1):
+def _pool_workers(work: float, limit) -> int:
+    """Workers to fork for a call whose images' blocks add up to ``work``
+    (m^3 for each m x m), or 0 where it stays in this process: no ``limit``
+    (``_blas_threads`` of its largest block), where the serial path's SVDs
+    round otherwise than one-thread workers', too little work to repay the
+    forks, not Linux, another live thread that a fork would not copy, one
+    usable core, or this process is a ``multiprocessing`` child."""
+    if (limit is None or work <= POOL_MIN_WORK or sys.platform != "linux"
+            or threading.active_count() > 1):
         return 0
     cores = _usable_cores()
     mp = sys.modules.get("multiprocessing")  # loaded in every multiprocessing child
@@ -194,7 +193,7 @@ def class_norms(
     (``_norm_chunk``), so a product of several blocks, from
     ``tensor_product`` and kept by ``reorder_parties``, takes one small SVD
     per block in place of one of the whole image.  A call with enough work
-    in blocks of at most SINGLE_THREAD_SVD_MAX_N (see ``_pool_workers``)
+    under the one-thread limit of its largest block (see ``_pool_workers``)
     forks k workers.  Worker j inherits rho, the permutations and one
     float64 array in shared memory, fills in the norms of every (k + 1)-th
     image from j, and exits with status 0, or 1 on any error.  This process
@@ -211,13 +210,14 @@ def class_norms(
                              f"on {rho.parties} parties")
     perms = [to_permutation(cls) for cls in classes]
     work = sum(len(m) ** 3 for _, m in rho.blocks)  # of one image
-    k = _pool_workers(len(perms) * work, max(len(m) for _, m in rho.blocks))
+    limit = _blas_threads(max(len(m) for _, m in rho.blocks))
+    k = _pool_workers(len(perms) * work, limit)
     if not k:
         return list(zip(classes, _norm_chunk(rho, perms)))
     norms = np.ndarray(len(perms), buffer=mmap.mmap(-1, 8 * len(perms)))  # shared float64
     status = {}  # each worker's wait status, by its first image
     with contextlib.ExitStack() as stack:
-        stack.enter_context(_ONE_BLAS_THREAD)  # left after the last reap
+        stack.enter_context(limit)  # left after the last reap
         for j in range(1, k + 1):
             pid = os.fork()
             if pid == 0:  # worker j: never returns
@@ -340,7 +340,7 @@ def verify_rule5(config: VerificationConfig) -> Rule5Report:
     failures = []
     for sample in range(config.samples):
         rho = random_state(config.dim, config.parties, rng)
-        rho_t = DensityMatrix(rho.dim, rho.parties, tuple((p, m.T) for p, m in rho.blocks))
+        rho_t = DensityMatrix(rho.dim, tuple((p, m.T) for p, m in rho.blocks))
         for (cls, a), (_, b) in zip(class_norms(rho, classes), class_norms(rho_t, classes)):
             dev = abs(a - b)
             max_dev = max(max_dev, dev)
@@ -379,8 +379,9 @@ def verify_distinctness(config: VerificationConfig) -> DistinctnessReport:
 
     A sample's closest pair is the first smallest gap between neighbours
     in stable norm order, and the report keeps the first sample's on a tie.
-    A gap within the threshold (measure zero for generic input) is a
-    warning, not a failure.  r = 1 has one class and is rejected up front.
+    A gap within the threshold warns and does not fail: each positive
+    semidefinite image has norm 1, its trace, so ties are common.  r = 1,
+    one class, is rejected up front.
     """
     classes = enumerate_classes(config.parties)
     if len(classes) < 2:

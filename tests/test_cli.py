@@ -12,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from permsep import verify
+from permsep import states, verify
 from permsep.cli import main
 from permsep.states import state_to_dict, random_state
+from permsep.verify import VerificationConfig, verify_distinctness
 
 
 def run(capsys, *argv):
@@ -227,6 +228,42 @@ def test_verify_distinctness(capsys):
     )
     assert code == 0
     assert "all distinct" in out
+
+
+def test_verify_distinctness_json_is_the_report(capsys):
+    code, out, _ = run(
+        capsys, "verify", "distinctness", "--parties", "2", "--samples", "3",
+        "--seed", "0", "--format", "json",
+    )
+    config = VerificationConfig(parties=2, dim=2, samples=3, seed=0)
+    assert code == 0
+    assert json.loads(out) == verify_distinctness(config).to_dict()
+
+
+def test_verify_distinctness_table_prints_each_warning(capsys):
+    # seed 0's FL image is positive semidefinite, so FL ties with FF at norm 1
+    code, out, _ = run(
+        capsys, "verify", "distinctness", "--parties", "2", "--samples", "1",
+        "--seed", "0",
+    )
+    assert code == 0
+    assert out.splitlines()[2:] == [
+        "warning: sample 0: classes 0 and 1 within 2.220e-16",
+        "WARNING: coinciding norms (possible non-generic state)",
+    ]
+
+
+def test_the_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [block] = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert out[:7] == ["0 FFF identity", "1 FFL QT", "2 FLF QT", "3 FLL QT",
+                       "4 FHT R", "5 HFT R", "6 HTF R"]
+    # the realignment row at 7/6, to rounding
+    [violations] = out[7:]
+    assert re.fullmatch(r"\(ClassResult\(class_id=2, roles='HT', label='R', "
+                        r"trace_norm=1\.16666666666666\d*, violated=True\),\)", violations)
 
 
 def test_verify_distinctness_needs_two_classes(capsys):
@@ -443,7 +480,7 @@ def test_importing_permsep_loads_no_process_machinery():
 
 # a pool forks only on Linux, under the OpenBLAS thread limit
 needs_fork_pool = pytest.mark.skipif(
-    sys.platform != "linux" or verify._ONE_BLAS_THREAD is None, reason="no pool here"
+    sys.platform != "linux" or states._ONE_BLAS_THREAD is None, reason="no pool here"
 )
 
 # os.fork wrapped to count its calls, each still made

@@ -60,6 +60,8 @@ def test_role_string_round_trip():
 def test_validate_rejects_unbalanced():
     with pytest.raises(ValueError):
         validate_roles(W("HT") + (Role.HEAD,))
+    with pytest.raises(ValueError, match="at least one subsystem"):
+        validate_roles(())
     with pytest.raises(ValueError):
         canonicalize((Role.HEAD, Role.FREE))
 

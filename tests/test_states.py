@@ -1,5 +1,6 @@
 """Numerics: the entry map, trace norms, state constructors, file format."""
 
+import dataclasses
 import itertools
 import json
 import pickle
@@ -409,6 +410,15 @@ def test_tensor_product_structure():
         tensor_product(chessboard_state(), maximally_mixed(2))
 
 
+def test_a_state_is_its_dimension_and_blocks():
+    # the party count is read from the blocks' positions, so no state can
+    # carry a count that disagrees with them
+    assert [f.name for f in dataclasses.fields(DensityMatrix)] == ["dim", "blocks"]
+    rho = reorder_parties(tensor_product(bell_state(), maximally_mixed(2, 3)), [3, 1, 5, 2, 4])
+    assert (rho.parties, rho.size) == (5, 32)
+    assert DensityMatrix(2, (((2, 1), bell_state().matrix),)).parties == 2
+
+
 def test_tensor_product_concatenates_shifted_blocks():
     rng = np.random.default_rng(101)
     a, b, c = (random_state(2, r, rng) for r in (1, 2, 1))
@@ -571,6 +581,8 @@ def test_density_matrix_diagnostics_name_the_invariant():
         density_matrix(np.diag([1.5, -0.5, 0, 0]), 2, 2)
     with pytest.raises(ValueError, match="dimension"):
         density_matrix(good, 1, 2)
+    with pytest.raises(ValueError, match="parties must be >= 1, got 0"):
+        density_matrix(good, 2, 0)
     with pytest.raises(ValueError, match=r"shape: expected 4x4 .* got \(4,\)"):
         density_matrix(np.ones(4) / 4, 2, 2)
     with pytest.raises(ValueError, match=r"shape: expected 4x4 .* got \(4, 2\)"):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from permsep import verify
+from permsep import states, verify
 from permsep.criteria import (
     Role,
     arrows_and_loops,
@@ -26,6 +26,7 @@ from permsep.criteria import (
 )
 from permsep.perms import compose, global_transpose
 from permsep.states import (
+    SINGLE_THREAD_SVD_MAX_N,
     apply_criterion,
     bell_state,
     chessboard_state,
@@ -198,9 +199,24 @@ def test_distinctness_warns_on_every_sample_within_threshold():
     assert (report.min_gap, report.closest_pair) == min(expected)
 
 
+def test_distinctness_warns_where_the_partial_transpose_is_positive():
+    # a positive semidefinite image has trace norm equal to its trace, 1,
+    # as the identity's image does, so FF and FL tie to rounding on a random
+    # state whose FL image is PSD (seed 0), and do not where it is not (seed 1)
+    fl = enumerate_classes(2)[1]
+    assert roles_to_string(fl.roles) == "FL"
+    for seed, positive in [(0, True), (1, False)]:
+        report = verify_distinctness(config(parties=2, dim=2, samples=1, seed=seed))
+        rho = random_state(2, 2, np.random.default_rng(seed))
+        lowest = np.linalg.eigvalsh(apply_criterion(rho.matrix, to_permutation(fl), 2))[0]
+        assert (lowest >= 0) == positive == (not report.all_distinct)
+        if positive:
+            assert report.closest_pair == (0, 1) and report.min_gap <= 1e-15
+
+
 def test_chessboard_norms_coincide():
-    # on the chessboard state the trivial class and the partial transpose
-    # both sit at norm 1, a coincidence a generic state does not show
+    # the chessboard state is PPT, so its partial transpose is positive
+    # semidefinite and sits at norm 1 with the trivial class
     norms = dict(
         (cls.label, value) for cls, value in class_norms(chessboard_state())
     )
@@ -803,7 +819,7 @@ def _out_of_time(signum, frame):
 def pool_on_two_cores(monkeypatch):
     """Any call of class_norms forks one worker; a call that waits on a
     worker that never exits fails the test after 120 s."""
-    if sys.platform != "linux" or verify._ONE_BLAS_THREAD is None:
+    if sys.platform != "linux" or states._ONE_BLAS_THREAD is None:
         pytest.skip("a pool forks only on Linux, under the OpenBLAS thread limit")
     monkeypatch.setattr(verify, "_usable_cores", lambda: 2)
     monkeypatch.setattr(verify, "POOL_MIN_WORK", 0)
@@ -1009,6 +1025,17 @@ def test_a_second_thread_keeps_the_call_in_this_process(pool_on_two_cores, monke
     assert norms == class_norms(rho)
 
 
+def test_without_the_thread_limit_nothing_forks(pool_on_two_cores, monkeypatch):
+    # the pool asks states' _blas_threads, so with no OpenBLAS limit every
+    # norm is computed here, on the caller's thread count
+    rho = random_state(2, 5, np.random.default_rng(89))
+    pooled = [norm for _, norm in class_norms(rho)]
+    monkeypatch.setattr(states, "_ONE_BLAS_THREAD", None)
+    forks = _counting_forks(monkeypatch)
+    assert np.allclose([norm for _, norm in class_norms(rho)], pooled, rtol=1e-12, atol=0)
+    assert forks == []
+
+
 def test_no_pool_below_the_break_even(monkeypatch):
     monkeypatch.setattr(verify, "_usable_cores", lambda: 4)
     workers = []
@@ -1025,19 +1052,21 @@ def test_no_pool_below_the_break_even(monkeypatch):
 
 
 def test_one_core_a_large_matrix_or_a_worker_runs_serially(pool_on_two_cores, monkeypatch):
-    assert verify._pool_workers(10**6, 128) == 1
-    # above it BLAS threads already share the cores
-    assert verify._pool_workers(10**6, verify.SINGLE_THREAD_SVD_MAX_N + 1) == 0
-    assert verify._pool_workers(0, 128) == 0  # no more than POOL_MIN_WORK
+    assert verify._pool_workers(10**6, states._blas_threads(128)) == 1
+    # above it the serial path's SVDs run on BLAS threads, and a worker's
+    # on one thread would round otherwise
+    large = states._blas_threads(SINGLE_THREAD_SVD_MAX_N + 1)
+    assert verify._pool_workers(10**6, large) == 0
+    assert verify._pool_workers(0, states._blas_threads(128)) == 0  # no more than POOL_MIN_WORK
     for patch in [
         (verify, "_usable_cores", lambda: 1),
         # fork safety rests on Linux and on OpenBLAS's one-thread limit
         (verify.sys, "platform", "darwin"),
-        (verify, "_ONE_BLAS_THREAD", None),
+        (states, "_ONE_BLAS_THREAD", None),
         # a worker never starts a pool of its own
         (multiprocessing, "parent_process", lambda: object()),
     ]:
         with monkeypatch.context() as patched:
             patched.setattr(*patch)
-            assert verify._pool_workers(10**6, 128) == 0, patch
+            assert verify._pool_workers(10**6, states._blas_threads(128)) == 0, patch
 
