@@ -149,11 +149,18 @@ def apply_criterion(
         )
     # axis k // 2 + slots // 2 * (k % 2) of the reshaped matrix holds 0-based
     # slot k; the output axes are the odd positions, then the even ones
-    order = sorted(range(slots), key=lambda k: (1 - positions[k] % 2, positions[k]))
+    order, odd = _layout(positions)
     axes = [k // 2 + slots // 2 * (k % 2) for k in order]
-    rows = dim ** sum(p % 2 for p in positions)
+    rows = dim**odd
     tensor = matrix.reshape((dim,) * slots).transpose(axes)
     return np.ascontiguousarray(tensor.reshape(rows, -1))
+
+
+def _layout(positions) -> tuple[tuple[int, ...], int]:
+    """The slots in the order of the image's axes, odd positions first, and
+    the count of odd positions: all that ``apply_criterion`` reads of them."""
+    order = sorted(range(len(positions)), key=lambda k: (1 - positions[k] % 2, positions[k]))
+    return tuple(order), sum(p % 2 for p in positions)
 
 
 class _OneBlasThread:

@@ -31,6 +31,7 @@ from .perms import global_transpose, norm_group
 from .states import (
     DensityMatrix,
     _blas_threads,
+    _layout,
     apply_criterion,
     chessboard_state,
     eigenvalues,
@@ -44,12 +45,12 @@ BISECT_ITERS = 44  # noise thresholds are located to 2^-BISECT_ITERS
 SECANT_STEPS = 8  # probe and secant steps per threshold before plain bisection
 PROBE_BETA = 2.0**-10  # the first beta a threshold search evaluates after 0
 # class_norms counts the work of one image as m^3 for each m x m block.  At
-# or below POOL_MIN_WORK a call stays in one process.  A pooled call forks
-# its workers, which costs about 25 ms; BENCH_11.json measured the
-# break-even near 4e8 with a 0.4 s worker boot, and with fork a pooled
-# (2,6) evaluate took 0.256 s against 0.251 s in one process, so the limit
-# stands.
-POOL_MIN_WORK = 4e8
+# or below POOL_MIN_WORK a call stays in one process, and each further
+# worker needs POOL_MIN_WORK more.  A worker forks in about 1 ms, in the
+# caller, and computes about 2 ms after its fork began.  With one worker on
+# 2 cores (BENCH_26.json) a call at (2,5), work 2.3e6, took 9-11 ms here
+# against 8-10 ms pooled, and one at (3,4), 1.2e7, 19 against 13 ms.
+POOL_MIN_WORK = 1e7
 
 
 def _check_positive_finite(name: str, value: float) -> None:
@@ -124,64 +125,86 @@ def _usable_cores() -> int:
     return len(os.sched_getaffinity(0))  # a pool runs only on Linux, which has it
 
 
-def _shares(rho: DensityMatrix, sigma):
-    """(positions, slots, share) of each block of rho under sigma, in block
+def _block_slots(rho: DensityMatrix, sigma):
+    """(positions, matrix, slots) of each block of rho under sigma, in block
     order: a block on parties p takes the images of slots 2p - 1 and 2p, and
     the image of rho is, up to a reordering of rows and of columns, the
-    Kronecker product of the shares (see ``apply_criterion``)."""
+    Kronecker product of the shares ``apply_criterion(matrix, slots, dim)``."""
     for positions, matrix in rho.blocks:
-        slots = tuple(q for p in positions for q in sigma.images[2 * p - 2:2 * p])
-        yield positions, slots, apply_criterion(matrix, slots, rho.dim)
+        yield positions, matrix, tuple(q for p in positions for q in sigma.images[2 * p - 2:2 * p])
 
 
 def _norm_chunk(rho: DensityMatrix, perms: list) -> list[float]:
     """Trace norms of the images of rho under a run of permutations.
 
-    Each image's trace norm is the product of its ``_shares``' norms, taken
-    in block order from 1.  Both the calling process and its forked workers
-    run this, so a norm has the same bits whichever process computed it.
+    Each image's trace norm is the product of its shares' norms, taken in
+    block order from 1; a share is fixed by its block's matrix and the
+    ``_layout`` of its slots, so the call takes one SVD per distinct pair.
+    The calling process and its forked workers run this, each with its own
+    memo, so a norm has the same bits whichever process computed it.
     """
-    return [math.prod(trace_norm(share) for *_, share in _shares(rho, sigma))
+    memo = {}  # share norms, by the block's matrix and the layout of its slots
+
+    def share_norm(matrix, slots):
+        key = id(matrix), _layout(slots)  # rho keeps each matrix, and so its id, alive
+        if key not in memo:
+            memo[key] = trace_norm(apply_criterion(matrix, slots, rho.dim))
+        return memo[key]
+
+    return [math.prod(share_norm(matrix, slots) for _, matrix, slots in _block_slots(rho, sigma))
             for sigma in perms]
 
 
-def _noise_images(rho: DensityMatrix, cls: CriterionClass):
-    """The images (low, high) of rho and of I/n under a class, as stacks.
+def _noise_parts(rho: DensityMatrix, cls: CriterionClass):
+    """(kept, others) under a class, each in block order: the share's
+    eigenvalues of each block whose parties all have role F or L, and
+    (matrix, slots) of every other block; all ``_noise_images`` reads."""
+    kept, others = [], []
+    for positions, matrix, slots in _block_slots(rho, to_permutation(cls)):
+        if all(cls.roles[p - 1] in (Role.FREE, Role.LOOP) for p in positions):
+            kept.append(eigenvalues(apply_criterion(matrix, slots, rho.dim)))
+        else:
+            others.append((matrix, slots))
+    return kept, others
+
+
+def _noise_images(rho: DensityMatrix, kept: list, others: list):
+    """The images (low, high) of rho and of I/n under a class, as stacks,
+    from its ``_noise_parts``.
 
     A block whose parties all have role F or L keeps each on its own two
     slots, so its share is a partial transpose H, and its share of I/n is
     I/m.  Up to a reordering of rows and of columns, (1 - beta) * rho +
     beta * I/n then maps to (1 - beta) * H (x) A + beta * I/M (x) N, for H
     the Kronecker product of such shares, M its size, and A and N the other
-    ``_shares`` of rho and of I/m_k.  H is Hermitian, and in its eigenbasis
+    blocks' shares of rho and of I/m_k.  H is Hermitian, and in its eigenbasis
     this is block-diagonal, block j being (1 - beta) * h_j * A +
     (beta / M) * N, so the stacks are (h_j * A for every j, N / M), which
     ``trace_norm`` reads as block-diagonal; with no such block, h = (1,).
     """
     h, low, high = np.ones(1), np.ones((1, 1)), np.ones((1, 1))
-    for positions, slots, share in _shares(rho, to_permutation(cls)):
-        if all(cls.roles[p - 1] in (Role.FREE, Role.LOOP) for p in positions):
-            h = np.kron(h, eigenvalues(share))
-        else:
-            m = rho.dim ** len(positions)
-            low = np.kron(low, share)
-            high = np.kron(high, apply_criterion(np.eye(m) / m, slots, rho.dim))
+    for values in kept:
+        h = np.kron(h, values)
+    for matrix, slots in others:
+        m = len(matrix)
+        low = np.kron(low, apply_criterion(matrix, slots, rho.dim))
+        high = np.kron(high, apply_criterion(np.eye(m) / m, slots, rho.dim))
     return h[:, None, None] * low, (high / len(h))[None]
 
 
 def _pool_workers(work: float, limit) -> int:
     """Workers to fork for a call whose images' blocks add up to ``work``
-    (m^3 for each m x m), or 0 where it stays in this process: no ``limit``
-    (``_blas_threads`` of its largest block), where the serial path's SVDs
-    round otherwise than one-thread workers', too little work to repay the
-    forks, not Linux, another live thread that a fork would not copy, one
-    usable core, or this process is a ``multiprocessing`` child."""
+    (m^3 for each m x m), a j-th above j * POOL_MIN_WORK, up to one per spare
+    core; 0 where it stays in this process: no ``limit`` (``_blas_threads``
+    of its largest block), where the serial path's SVDs round otherwise than
+    one-thread workers', too little work to repay a fork, not Linux, another
+    live thread that a fork would not copy, or a ``multiprocessing`` child."""
     if (limit is None or work <= POOL_MIN_WORK or sys.platform != "linux"
             or threading.active_count() > 1):
         return 0
-    cores = _usable_cores()
     mp = sys.modules.get("multiprocessing")  # loaded in every multiprocessing child
-    return 0 if cores < 2 or mp is not None and mp.parent_process() is not None else cores - 1
+    spare = 0 if mp is not None and mp.parent_process() is not None else _usable_cores() - 1
+    return sum(j * POOL_MIN_WORK < work for j in range(1, spare + 1))
 
 
 def class_norms(
@@ -192,7 +215,7 @@ def class_norms(
     Each norm is the product of the norms of the blocks' shares
     (``_norm_chunk``), so a product of several blocks, from
     ``tensor_product`` and kept by ``reorder_parties``, takes one small SVD
-    per block in place of one of the whole image.  A call with enough work
+    per distinct share in place of one of the whole image.  A call with enough work
     under the one-thread limit of its largest block (see ``_pool_workers``)
     forks k workers.  Worker j inherits rho, the permutations and one
     float64 array in shared memory, fills in the norms of every (k + 1)-th
@@ -490,18 +513,25 @@ def noise_thresholds(
     a class in which every party of some block has role F or L (on any
     state, a class of roles F and L only) searches on blocks the size of
     the other blocks' shares, with the dense image's norms to rounding, and
-    any other class on a stack of one block, the dense image.  Every SVD is
-    values-only.  The noise image has norm d^-#arrows <= 1, so beta = 1
-    never fires, and the norm is convex in beta, so the betas that fire
-    form one interval starting at 0.
+    any other class on a stack of one block, the dense image.  Classes of
+    equal ``_noise_parts`` (the other blocks by matrix and slot layout) and
+    beta = 0 norm share one search.  Every SVD is values-only.  The noise
+    image has norm d^-#arrows <= 1, so beta = 1 never fires, and the norm
+    is convex in beta, so the betas that fire form one interval from 0.
     """
     _check_positive_finite("tolerance", tolerance)
     bound = 1 + tolerance
-    return [
-        (cls, _noise_threshold(*_noise_images(rho, cls), norm, bound)
-         if norm > bound else 0.0)
-        for cls, norm in class_norms(rho)
-    ]
+    memo = {}  # thresholds, by all that fixes the stacks; no key holds an image
+
+    def threshold(cls, norm):
+        kept, others = _noise_parts(rho, cls)
+        key = tuple(h.tobytes() for h in kept), tuple((id(m), _layout(s)) for m, s in others), norm
+        if key not in memo:
+            memo[key] = _noise_threshold(*_noise_images(rho, kept, others), norm, bound)
+        return memo[key]
+
+    return [(cls, threshold(cls, norm) if norm > bound else 0.0)
+            for cls, norm in class_norms(rho)]
 
 
 def beta_sweep(steps: int = 12, tolerance: float = 1e-9) -> BetaSweepReport:
@@ -512,12 +542,12 @@ def beta_sweep(steps: int = 12, tolerance: float = 1e-9) -> BetaSweepReport:
     safeguarded secant steps on the convex norm, snapped to the grid of
     2^-BISECT_ITERS, equal to the 44-step bisection's thresholds on the same
     norms.  The state is the tensor product of one chessboard with itself,
-    two blocks that share one matrix, so each class's beta = 0 norm takes
-    two SVDs of at most 81 entries.  Of the 6 classes that fire, the four R
-    and R+QT classes keep one copy on its own slots and search on stacks
-    of nine 9 x 9 blocks, 12 SVD calls in all, and 2R and R+R' take 6 SVDs
-    on stacks of one 81 x 81 block, against 287 for bisection on dense
-    images; every SVD is values-only.  Partial-transpose classes never
+    two blocks that share one matrix, so the 46 shares of the 23 classes'
+    beta = 0 norms reach 14 slot layouts, one SVD of at most 81 entries
+    each.  Of the 6 classes that fire, the four R and R+QT classes keep one
+    copy on its own slots and share one search on stacks of nine 9 x 9
+    blocks, 3 SVD calls, and 2R and R+R' take 6 SVDs on stacks of one 81 x 81
+    block: 23 in all, against 287 for bisection on dense images.  Partial-transpose classes never
     fire: the PPT chessboard stays PPT under tensor products and noise.
     ``steps`` is validated and reported but does not change a threshold.
     """

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import json
+import math
 import mmap
 import multiprocessing
 import os
@@ -10,6 +11,7 @@ import re
 import signal
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +295,30 @@ def _random_real_state(d, r, rng):
     return density_matrix(a @ a.T / np.trace(a @ a.T), d, r)
 
 
+def _counting_norms(monkeypatch):
+    """Count the calls of trace_norm that verify makes, each still made."""
+    calls = []
+    monkeypatch.setattr(verify, "trace_norm", lambda m: calls.append(np.shape(m)) or trace_norm(m))
+    return calls
+
+
+def _shares(rho, cls):
+    """The share of each block of rho under a class, in block order."""
+    return [apply_criterion(matrix, slots, rho.dim)
+            for _, matrix, slots in verify._block_slots(rho, to_permutation(cls))]
+
+
+def _noise_images(rho, cls):
+    return verify._noise_images(rho, *verify._noise_parts(rho, cls))
+
+
+def _distinct_shares(rho):
+    """The distinct share arrays of rho's images under every class, by shape,
+    dtype and bytes: a lower bound on the SVDs that its norms need."""
+    return {(share.shape, share.dtype.str, share.tobytes())
+            for cls in enumerate_classes(rho.parties) for share in _shares(rho, cls)}
+
+
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
 @pytest.mark.parametrize("d,splits", [
     (2, (1, 2)), (2, (2, 2)), (2, (3, 2)), (2, (1, 1, 2)),
@@ -308,18 +334,16 @@ def test_product_norms_equal_the_dense_ones(monkeypatch, d, splits, real):
     assert all(m is f.matrix for (_, m), f in zip(rho.blocks, factors, strict=True))
     assert len(dense.blocks) == 1
     expected = class_norms(dense)
-    shapes = []  # SVDs of the product state's norms
-
-    def counted(matrix):
-        shapes.append(matrix.shape)
-        return trace_norm(matrix)
-
-    monkeypatch.setattr(verify, "trace_norm", counted)
+    shapes = _counting_norms(monkeypatch)  # SVDs of the product state's norms
     norms = class_norms(rho)
     assert [cls for cls, _ in norms] == [cls for cls, _ in expected]
     assert max(abs(a - b) for (_, a), (_, b) in zip(norms, expected)) <= 1e-13
-    # one SVD per factor and class, none of the whole image
-    assert len(shapes) == len(factors) * len(norms)
+    # one SVD per distinct share, none of the whole image; a real symmetric
+    # factor's share, its transpose and its flattenings repeat under other
+    # layouts, a complex factor's do not
+    distinct = _distinct_shares(rho)
+    assert len(distinct) <= len(shapes) <= len(factors) * len(norms)
+    assert real or len(shapes) == len(distinct)
     assert dense.matrix.shape not in shapes
 
 
@@ -339,19 +363,113 @@ def test_reordered_product_norms_equal_the_dense_ones(monkeypatch, d, r_a, r_b):
         assert all(m is x.matrix for (_, m), x in zip(rho.blocks, (a, b)))
         dense = density_matrix(rho.matrix, d, r)
         expected = class_norms(dense)
-        shapes = []
-
-        def counted(matrix):
-            shapes.append(matrix.shape)
-            return trace_norm(matrix)
-
-        monkeypatch.setattr(verify, "trace_norm", counted)
+        shapes = _counting_norms(monkeypatch)
         norms = class_norms(rho)
         monkeypatch.undo()
         assert [cls for cls, _ in norms] == [cls for cls, _ in expected]
         assert max(abs(x - y) for (_, x), (_, y) in zip(norms, expected)) <= 1e-12
-        assert len(shapes) == 2 * len(norms)
+        assert len(shapes) == len(_distinct_shares(rho)) < 2 * len(norms)
         assert dense.matrix.shape not in shapes
+
+
+def _ghz(r):
+    ket = np.zeros(2**r)
+    ket[[0, -1]] = 2**-0.5
+    return _pure(ket, 2, r)
+
+
+def _witness():
+    # GHZ_3 (x) GHZ_2 (x) |0> (x) |0> (x) |0>, relabeled: a class detects it
+    # when one of its cuts splits a GHZ block, and its |0> blocks hold one matrix
+    zero = density_matrix(np.diag([1.0, 0.0]), 2, 1)
+    rho = functools.reduce(tensor_product, [_ghz(3), _ghz(2), zero, zero, zero])
+    return reorder_parties(rho, [1, 4, 2, 6, 3, 5, 7, 8])
+
+
+def _ghz_zero_ghz():
+    # GHZ_2 (x) |0> (x) GHZ_2, relabeled: the two GHZ blocks hold one matrix
+    ghz = _ghz(2)
+    zero = density_matrix(np.diag([1.0, 0.0]), 2, 1)
+    return reorder_parties(functools.reduce(tensor_product, [ghz, zero, ghz]), [1, 3, 5, 2, 4])
+
+
+def _self_product(seed):
+    a = random_state(2, 2, np.random.default_rng(seed))
+    return tensor_product(a, a)
+
+
+def _shared_of_three(seed):
+    # a (x) b (x) a, relabeled: the first and last block hold one matrix
+    rng = np.random.default_rng(seed)
+    a, b = random_state(2, 2, rng), random_state(2, 1, rng)
+    return reorder_parties(functools.reduce(tensor_product, [a, b, a]), [3, 1, 5, 2, 4])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: tensor_product(chessboard_state(), chessboard_state()),
+    lambda: _self_product(127),
+    lambda: _shared_of_three(131),
+    _witness,
+], ids=["chessboard2", "a2", "a-b-a-moved", "witness-r8"])
+def test_repeated_shares_take_one_svd_and_keep_every_norm(monkeypatch, make):
+    # a share is built and takes its SVD once per distinct block matrix and
+    # slot layout, and each norm is still the product of its shares' norms
+    # in block order, to the bit
+    rho = make()
+    classes = enumerate_classes(rho.parties)
+    expected = [math.prod(trace_norm(share) for share in _shares(rho, cls)) for cls in classes]
+    calls = _counting_norms(monkeypatch)
+    norms = class_norms(rho)
+    assert [norm for _, norm in norms] == expected
+    assert len(_distinct_shares(rho)) <= len(calls) < len(rho.blocks) * len(classes)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_state(2, 3, np.random.default_rng(137)),
+    lambda: random_state(3, 3, np.random.default_rng(139)),
+    lambda: _random_real_state(2, 4, np.random.default_rng(149)),
+    lambda: mix_with_noise(tensor_product(bell_state(), bell_state()), 0.1),
+], ids=["complex-d2", "complex-d3", "real-d2", "real-bell2"])
+def test_a_state_of_one_block_takes_one_svd_per_class(monkeypatch, make):
+    # each class's permutation is its block's slot layout, so no share repeats
+    rho = make()
+    calls = _counting_norms(monkeypatch)
+    assert len(class_norms(rho)) == len(calls)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: tensor_product(chessboard_state(), chessboard_state()),
+    lambda: tensor_product(bell_state(), bell_state()),
+    _ghz_zero_ghz,
+], ids=["chessboard2", "bell2", "ghz-0-ghz-moved"])
+def test_equal_noise_families_share_one_search(monkeypatch, make):
+    # classes that fire on equal stacks from equal beta = 0 norms take one
+    # search, and every threshold is the one its own search finds
+    rho, bound = make(), 1 + 1e-9
+    expected = [(cls, verify._noise_threshold(*_noise_images(rho, cls), norm, bound)
+                 if norm > bound else 0.0) for cls, norm in class_norms(rho)]
+    searches = []
+    search = verify._noise_threshold
+    monkeypatch.setattr(verify, "_noise_threshold",
+                        lambda *args: searches.append(args[2]) or search(*args))
+    assert noise_thresholds(rho, 1e-9) == expected
+    assert 0 < len(searches) < sum(beta > 0 for _, beta in expected)
+
+
+def test_a_state_of_one_block_keeps_no_image_per_firing_class():
+    # the search memo is keyed on the kept blocks' eigenvalues and the other
+    # blocks' layouts, never on a stack, so the call's traced peak stays a
+    # few images although 58 of the 71 classes fire, each on its own image
+    rho = random_state(2, 5, np.random.default_rng(151))
+    image = 16 * 32 * 32  # bytes of one complex image
+    tracemalloc.start()
+    try:
+        thresholds = noise_thresholds(rho, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(beta > 0 for _, beta in thresholds) == 58
+    assert peak < 16 * image
 
 
 def _lift(rho, pure, k):
@@ -477,17 +595,17 @@ def _counting_svd(monkeypatch):
 def test_beta_sweep_needs_one_svd_per_silent_class(monkeypatch):
     calls = _counting_svd(monkeypatch)
     beta_sweep()
-    # at beta = 0 each of the 23 classes takes one SVD per chessboard
-    # factor, of at most 81 entries; each of the 6 that fire adds a probe and
-    # secant steps.  The four R and R+QT classes keep one copy on its own
-    # slots, so theirs run on stacks of nine 9 x 9 blocks, 12 in all; 2R and
-    # R+R' keep neither copy and take 6 SVDs on stacks of one 81 x 81 block;
-    # beta = 1 needs none
+    # at beta = 0 the 23 classes' 46 chessboard shares, of at most 81 entries,
+    # reach 14 slot layouts of the one matrix, one SVD each; each of the 6
+    # classes that fire adds a probe and secant steps.  The four R and R+QT
+    # classes keep one copy on its own slots and have one noise family, on
+    # stacks of nine 9 x 9 blocks, 3 SVDs; 2R and R+R' keep neither copy and
+    # take 6 SVDs on stacks of one 81 x 81 block; beta = 1 needs none
     shapes = [shape for _, _, shape in calls]
     assert shapes.count((1, 81, 81)) == 6
-    assert shapes.count((9, 9, 9)) == 12
+    assert shapes.count((9, 9, 9)) == 3
     factor = [shape for shape in shapes if shape not in ((1, 81, 81), (9, 9, 9))]
-    assert len(factor) == 2 * 23
+    assert len(factor) == 14
     assert all(m * n <= 81 for m, n in factor)
     assert not any(vectors for vectors, _, _ in calls)
     assert {dtype for _, dtype, _ in calls} == {np.dtype(np.float64)}
@@ -595,7 +713,7 @@ def test_block_thresholds_equal_the_dense_bisection(monkeypatch, make):
     blocked = 0
     for cls, norm in class_norms(rho):
         sigma = to_permutation(cls)
-        images = verify._noise_images(rho, cls)
+        images = _noise_images(rho, cls)
         # the stack is taken exactly when some block's parties are all F or L
         kept = any(all(cls.roles[p - 1] in (Role.FREE, Role.LOOP) for p in pos)
                    for pos, _ in rho.blocks)
@@ -609,13 +727,7 @@ def test_block_thresholds_equal_the_dense_bisection(monkeypatch, make):
             assert abs(block - trace_norm((1 - beta) * low + beta * high)) <= 1e-13
         blocked += norm > 1 + 1e-9
     assert blocked >= 1
-    shapes = []
-
-    def counted(matrix):
-        shapes.append(np.shape(matrix))
-        return trace_norm(matrix)
-
-    monkeypatch.setattr(verify, "trace_norm", counted)
+    shapes = _counting_norms(monkeypatch)
     thresholds = noise_thresholds(rho, 1e-9)
     monkeypatch.undo()
     assert any(len(shape) == 3 for shape in shapes)
@@ -881,10 +993,19 @@ def _lifted_and_relabeled():
 ], ids=["complex-d2", "real-d3", "product-d2"])
 def test_pooled_norms_equal_the_serial_ones(pool_on_two_cores, monkeypatch, make):
     rho = make()
-    calls = _counting_svd(monkeypatch)  # block shares whose SVD ran in this process
+    chunks = []  # the runs of images whose norms this process computed
+    norm_chunk = verify._norm_chunk
+    caller = os.getpid()
+
+    def chunk(rho, perms):
+        if os.getpid() == caller:
+            chunks.append(perms)
+        return norm_chunk(rho, perms)
+
+    monkeypatch.setattr(verify, "_norm_chunk", chunk)
     pooled = class_norms(rho)
-    images, rest = divmod(len(calls), len(rho.blocks))
-    assert rest == 0 and 0 < images < len(pooled)  # the worker computed the rest
+    every = [to_permutation(cls) for cls, _ in pooled]
+    assert chunks == [every[0::2]]  # the worker computed the rest
     monkeypatch.setattr(verify, "POOL_MIN_WORK", float("inf"))
     assert pooled == class_norms(rho)
     assert [cls.class_id for cls, _ in pooled] == list(range(len(pooled)))
@@ -1043,12 +1164,32 @@ def test_no_pool_below_the_break_even(monkeypatch):
     monkeypatch.setattr(verify, "_pool_workers",
                         lambda *args: workers.append(pool_workers(*args)) or workers[-1])
     rng = np.random.default_rng(97)
-    for r in range(1, 7):
+    for r in range(1, 6):
         evaluate_state(random_state(2, r, rng))
-    evaluate_state(random_state(3, 4, rng))
+    evaluate_state(random_state(3, 3, rng))
     beta_sweep()
-    assert len(workers) == 8 and not any(workers)
+    assert len(workers) == 7 and not any(workers)
     assert _no_child_left()
+    # the limit falls between (2,5), which stays here, and (3,4), which pools
+    assert len(enumerate_classes(5)) * 32**3 <= verify.POOL_MIN_WORK < len(enumerate_classes(4)) * 81**3
+
+
+def test_each_worker_forks_for_a_limits_worth_of_work(monkeypatch):
+    # forks run one after another in the caller, so on 64 cores a j-th
+    # worker forks only above j times the limit: (3,4) forks one, (2,6) six
+    if sys.platform != "linux" or states._ONE_BLAS_THREAD is None:
+        pytest.skip("a pool forks only on Linux, under the OpenBLAS thread limit")
+    monkeypatch.setattr(verify, "_usable_cores", lambda: 64)
+    limit, step = states._blas_threads(128), verify.POOL_MIN_WORK
+    works = [step, 1.5 * step, 2 * step, 2.5 * step, 1e3 * step,
+             len(enumerate_classes(4)) * 81**3, len(enumerate_classes(6)) * 64**3]
+    assert [verify._pool_workers(work, limit) for work in works] == [0, 1, 1, 2, 63, 1, 6]
+    forks = _counting_forks(monkeypatch)
+    rho = random_state(3, 4, np.random.default_rng(157))
+    pooled = class_norms(rho)
+    assert len(forks) == 1 and _no_child_left()
+    monkeypatch.setattr(verify, "POOL_MIN_WORK", float("inf"))
+    assert pooled == class_norms(rho)
 
 
 def test_one_core_a_large_matrix_or_a_worker_runs_serially(pool_on_two_cores, monkeypatch):
