@@ -163,38 +163,51 @@ def _layout(positions) -> tuple[tuple[int, ...], int]:
     return tuple(order), sum(p % 2 for p in positions)
 
 
-class _OneBlasThread:
-    """Context manager that runs OpenBLAS on one thread inside it.
+class _PinnedOpenBlas:
+    """OpenBLAS pinned to one thread for the whole process, with no helper
+    thread left running; inside the context it runs on its start count.
 
-    The thread count is process-wide, so concurrent entrants share one
-    limit: the first saves the caller's count and the last restores it.
+    Pinning sets one thread and then, where OpenBLAS exports
+    ``blas_thread_shutdown_`` (the function its own fork handler runs) and
+    no other Python thread could be inside OpenBLAS, stops the helper
+    threads: an idle helper spins for about 0.1 s of CPU before it sleeps.
+    Setting any count re-creates stopped helpers, so after the pin only
+    this context sets it.  The count is process-wide, so concurrent
+    entrants share one lift: the first lifts and the last pins again.
     """
 
-    def __init__(self, get, set_):
+    def __init__(self, get, set_, shutdown):
         self.get = get
         self._set = set_
+        self._shutdown = shutdown
+        self.start = get()
         self._lock = threading.Lock()
         self._depth = 0
-        self._saved = 0
+        self._pin()
+
+    def _pin(self):
+        self._set(1)
+        if self._shutdown is not None and threading.active_count() == 1:
+            self._shutdown()
 
     def __enter__(self):
         with self._lock:
             if self._depth == 0:
-                self._saved = self.get()
-                self._set(1)
+                self._set(self.start)
             self._depth += 1
 
     def __exit__(self, *exc_info):
         with self._lock:
             self._depth -= 1
             if self._depth == 0:
-                self._set(self._saved)
+                self._pin()
 
 
-def _probe_openblas() -> _OneBlasThread | None:
-    """The thread limit for the OpenBLAS that numpy's SVD calls, found through
-    numpy's linalg extension and the libraries it links, so that another copy
-    (scipy's, say) is never taken; None where there is none (MKL, Accelerate)."""
+def _probe_openblas() -> _PinnedOpenBlas | None:
+    """The OpenBLAS that numpy's SVD calls, found through numpy's linalg
+    extension and the libraries it links, so that another copy (scipy's,
+    say) is never taken, and pinned; None where there is none (MKL,
+    Accelerate), where nothing is set."""
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except (AttributeError, OSError):
@@ -208,22 +221,32 @@ def _probe_openblas() -> _OneBlasThread | None:
                 continue
             get.argtypes, get.restype = [], ctypes.c_int
             set_.argtypes, set_.restype = [ctypes.c_int], None
-            return _OneBlasThread(get, set_)
+            shutdown = getattr(lib, "blas_thread_shutdown_", None)
+            if shutdown is not None:
+                shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+            return _PinnedOpenBlas(get, set_, shutdown)
     return None
 
 
-# probed once, at import, so every caller shares one limit and its depth count
-_ONE_BLAS_THREAD = _probe_openblas()
+# probed and pinned once, at import, so every caller shares one lift and its depth count
+_OPENBLAS = _probe_openblas()
 
 
-def _blas_threads(n: int) -> _OneBlasThread | None:
-    """The limit a solve of at most n rows and columns runs under: OpenBLAS
-    on one thread up to SINGLE_THREAD_SVD_MAX_N, where it is faster, else None."""
-    return _ONE_BLAS_THREAD if n <= SINGLE_THREAD_SVD_MAX_N else None
+def _blas_threads(n: int) -> _PinnedOpenBlas | None:
+    """The lift a solve of at most n rows and columns runs in: OpenBLAS on
+    its start count above SINGLE_THREAD_SVD_MAX_N; None up to it, where the
+    solve runs on the pinned thread, which is faster, and with no OpenBLAS."""
+    return _OPENBLAS if n > SINGLE_THREAD_SVD_MAX_N else None
+
+
+def _pinned(n: int) -> bool:
+    """Whether a solve of at most n rows and columns runs on OpenBLAS's one
+    pinned thread, as it does in a forked worker."""
+    return _OPENBLAS is not None and _blas_threads(n) is None
 
 
 def eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, under ``_blas_threads``:
+    """Ascending eigenvalues of a Hermitian matrix, in ``_blas_threads``:
     every eigensolve in permsep runs here."""
     with _blas_threads(len(matrix)) or contextlib.nullcontext():
         return np.linalg.eigvalsh(matrix)
@@ -235,7 +258,7 @@ def trace_norm(matrix: np.ndarray) -> float:
     A stack of shape (..., m, n) stands for the block-diagonal matrix of its
     m x n blocks: its trace norm is the sum of every block's singular
     values, from one SVD call over the stack.  Every SVD in permsep runs
-    here, under ``_blas_threads`` of the longer side of a block.
+    here, in ``_blas_threads`` of the longer side of a block.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim < 2:
@@ -277,11 +300,20 @@ def bell_state() -> DensityMatrix:
     return density_matrix(np.outer(ket, ket), dim=2, parties=2)
 
 
+def _drawing():
+    """The context of the BLAS work in a random draw: OpenBLAS on its start
+    count at every size, where the draws have always run, so that a seed
+    gives the same state whatever sizes OpenBLAS threads at (n >= 125 with
+    OpenBLAS 0.3.31 on 2 cores)."""
+    return _OPENBLAS or contextlib.nullcontext()
+
+
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed n x n unitary: QR of a complex Ginibre matrix with
     the R-diagonal phases absorbed so the distribution is exactly invariant."""
     ginibre = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(ginibre)
+    with _drawing():
+        q, r = np.linalg.qr(ginibre)
     phases = np.diagonal(r).copy()
     phases /= np.abs(phases)
     return q * phases
@@ -298,9 +330,10 @@ def random_density_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
     U diag(lambda) U^dagger.  Deterministic for a fixed generator state."""
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
-    u = random_unitary(n, rng)
-    lam = simplex_weights(n, rng)
-    return (u * lam) @ u.conj().T
+    with _drawing():  # one lift for the QR and the product
+        u = random_unitary(n, rng)
+        lam = simplex_weights(n, rng)
+        return (u * lam) @ u.conj().T
 
 
 def random_state(dim: int, parties: int, rng: np.random.Generator) -> DensityMatrix:

@@ -30,8 +30,8 @@ from .criteria import (
 from .perms import global_transpose, norm_group
 from .states import (
     DensityMatrix,
-    _blas_threads,
     _layout,
+    _pinned,
     apply_criterion,
     chessboard_state,
     eigenvalues,
@@ -192,14 +192,15 @@ def _noise_images(rho: DensityMatrix, kept: list, others: list):
     return h[:, None, None] * low, (high / len(h))[None]
 
 
-def _pool_workers(work: float, limit) -> int:
+def _pool_workers(work: float, pinned: bool) -> int:
     """Workers to fork for a call whose images' blocks add up to ``work``
     (m^3 for each m x m), a j-th above j * POOL_MIN_WORK, up to one per spare
-    core; 0 where it stays in this process: no ``limit`` (``_blas_threads``
-    of its largest block), where the serial path's SVDs round otherwise than
-    one-thread workers', too little work to repay a fork, not Linux, another
-    live thread that a fork would not copy, or a ``multiprocessing`` child."""
-    if (limit is None or work <= POOL_MIN_WORK or sys.platform != "linux"
+    core; 0 where it stays in this process: its largest block's solves not
+    ``pinned`` (``states._pinned``) to one OpenBLAS thread, so that the
+    serial path's SVDs would round otherwise than the workers', too little
+    work to repay a fork, not Linux, another live thread that a fork would
+    not copy, or a ``multiprocessing`` child."""
+    if (not pinned or work <= POOL_MIN_WORK or sys.platform != "linux"
             or threading.active_count() > 1):
         return 0
     mp = sys.modules.get("multiprocessing")  # loaded in every multiprocessing child
@@ -216,14 +217,14 @@ def class_norms(
     (``_norm_chunk``), so a product of several blocks, from
     ``tensor_product`` and kept by ``reorder_parties``, takes one small SVD
     per distinct share in place of one of the whole image.  A call with enough work
-    under the one-thread limit of its largest block (see ``_pool_workers``)
+    whose largest block is solved on the pinned thread (see ``_pool_workers``)
     forks k workers.  Worker j inherits rho, the permutations and one
     float64 array in shared memory, fills in the norms of every (k + 1)-th
     image from j, and exits with status 0, or 1 on any error.  This process
     computes the stride from 0, reaps every worker, and then computes
-    itself the stride of each worker whose status is not 0.  OpenBLAS stays
-    on one thread from before the first fork until after the last reap.
-    The norms are the same bits in any process.
+    itself the stride of each worker whose status is not 0.  OpenBLAS is
+    pinned to one thread in every process, so the norms are the same bits
+    in any process.
     """
     if classes is None:
         classes = enumerate_classes(rho.parties)
@@ -233,14 +234,12 @@ def class_norms(
                              f"on {rho.parties} parties")
     perms = [to_permutation(cls) for cls in classes]
     work = sum(len(m) ** 3 for _, m in rho.blocks)  # of one image
-    limit = _blas_threads(max(len(m) for _, m in rho.blocks))
-    k = _pool_workers(len(perms) * work, limit)
+    k = _pool_workers(len(perms) * work, _pinned(max(len(m) for _, m in rho.blocks)))
     if not k:
         return list(zip(classes, _norm_chunk(rho, perms)))
     norms = np.ndarray(len(perms), buffer=mmap.mmap(-1, 8 * len(perms)))  # shared float64
     status = {}  # each worker's wait status, by its first image
     with contextlib.ExitStack() as stack:
-        stack.enter_context(limit)  # left after the last reap
         for j in range(1, k + 1):
             pid = os.fork()
             if pid == 0:  # worker j: never returns

@@ -5,6 +5,9 @@ touches the reshape/transpose fast path it is used to check.
 """
 
 import itertools
+import os
+import re
+from pathlib import Path
 
 import numpy as np
 
@@ -44,3 +47,16 @@ def random_complex(n, rng):
 def random_hermitian(n, rng):
     a = random_complex(n, rng)
     return (a + a.conj().T) / 2
+
+
+def src_env():
+    """The environment with this checkout's src first on PYTHONPATH, for a
+    fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def os_threads() -> int:
+    """This process's OS threads, from /proc/self/status."""
+    return int(re.search(r"Threads:\s*(\d+)", Path("/proc/self/status").read_text())[1])

@@ -17,6 +17,8 @@ from permsep.cli import main
 from permsep.states import state_to_dict, random_state
 from permsep.verify import VerificationConfig, verify_distinctness
 
+from conftest import src_env
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -420,7 +422,7 @@ def test_classify_output_is_the_recorded_one(capsys, command):
 ])
 def test_module_entry_point_exit_codes(argv, expected):
     proc = subprocess.run(
-        [sys.executable, "-m", "permsep", *argv], env=_src_env(), capture_output=True,
+        [sys.executable, "-m", "permsep", *argv], env=src_env(), capture_output=True,
         text=True,
     )
     assert proc.returncode == expected, proc.stderr
@@ -439,19 +441,13 @@ def test_a_closed_stdout_exits_141_without_a_traceback(fmt):
     for entry in (["-m", "permsep"], _script_entry()):
         proc = subprocess.Popen(
             [sys.executable, *entry, "enumerate", "--parties", "8", "--format", fmt],
-            env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )
         first = proc.stdout.readline()
         proc.stdout.close()  # as `| head -1` does, with most of the output unwritten
         _, err = proc.communicate(timeout=120)
         assert first == (b"[\n" if fmt == "json" else b"3299 classes for r=8\n")
         assert (proc.returncode, err) == (141, b""), entry
-
-
-def _src_env():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 # the process machinery that importing permsep loaded, then what beta-sweep
@@ -473,14 +469,14 @@ print(codes, sorted(machinery & set(sys.modules)))
 def test_importing_permsep_loads_no_process_machinery():
     # the import alone would cost more than beta-sweep's whole computation
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_POOL], env=_src_env(), capture_output=True, text=True
+        [sys.executable, "-c", _NO_POOL], env=src_env(), capture_output=True, text=True
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n[0, 0] []\n", "")
 
 
 # a pool forks only on Linux, under the OpenBLAS thread limit
 needs_fork_pool = pytest.mark.skipif(
-    sys.platform != "linux" or states._ONE_BLAS_THREAD is None, reason="no pool here"
+    sys.platform != "linux" or states._OPENBLAS is None, reason="no pool here"
 )
 
 # os.fork wrapped to count its calls, each still made
@@ -519,7 +515,7 @@ def test_a_pooled_cli_run_joins_its_workers(tmp_path, capsys):
     argv = ["evaluate", "--state", str(path), "--format", "json"]
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-X", "dev", "-c", _POOLED_CLI, *argv],
-        env=_src_env(), capture_output=True, text=True, timeout=120,
+        env=src_env(), capture_output=True, text=True, timeout=120,
     )
     assert (proc.returncode, proc.stderr) == (0, "1 no child False False\n")
     # the pooled stdout is the serial one, byte for byte
@@ -549,7 +545,7 @@ def test_a_pooled_cli_run_leaves_no_process_behind(tmp_path):
     argv = ["evaluate", "--state", str(path)]
     proc = subprocess.Popen(
         [sys.executable, "-W", "error", "-X", "dev", "-c", _POOLED_CLI_TRACKER, *argv],
-        env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         start_new_session=True,
     )
     out, err = proc.communicate(timeout=120)
@@ -588,6 +584,6 @@ def test_an_unguarded_script_pools_cleanly(tmp_path):
     script.write_text(_UNGUARDED)
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-X", "dev", str(script)],
-        env=_src_env(), capture_output=True, text=True, timeout=120,
+        env=src_env(), capture_output=True, text=True, timeout=120,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "top level\n71 1 False False\n", "")

@@ -3,7 +3,9 @@
 import dataclasses
 import itertools
 import json
+import os
 import pickle
+import subprocess
 import sys
 import threading
 
@@ -44,7 +46,7 @@ from permsep.states import (
 )
 from permsep.verify import class_norms, noise_thresholds
 
-from conftest import apply_reference, random_complex, random_hermitian
+from conftest import apply_reference, os_threads, random_complex, random_hermitian, src_env
 
 REALIGN_2 = Permutation((1, 3, 2, 4))
 PT_2 = Permutation((1, 2, 4, 3))
@@ -211,16 +213,35 @@ def _realigned_random_state(d, r, seed):
 
 
 @pytest.fixture
-def blas_limit():
-    """The OpenBLAS thread limit, with the caller's count set to 2 so that a
-    missed restore (which would leave 1) shows; the original is put back."""
-    limit = states._ONE_BLAS_THREAD
-    if limit is None:
+def openblas():
+    """numpy's OpenBLAS, pinned to one thread when permsep was imported."""
+    pinned = states._OPENBLAS
+    if pinned is None:
         pytest.skip("numpy's BLAS exposes no OpenBLAS thread control here")
-    original = limit.get()
-    limit._set(2)
-    yield limit
-    limit._set(original)
+    return pinned
+
+
+@pytest.fixture
+def counts_seen(openblas, monkeypatch):
+    """Wrap numpy's SVD and eigensolver to record the OpenBLAS count that
+    each call ran on."""
+    seen = []
+
+    def spying(solve):
+        def spy(*args, **kwargs):
+            seen.append(openblas.get())
+            return solve(*args, **kwargs)
+        return spy
+
+    for name in ("svd", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, spying(getattr(np.linalg, name)))
+    return seen
+
+
+def _no_blas_helper() -> bool:
+    """Whether OpenBLAS runs no helper thread: this process has no OS thread
+    beyond its Python threads (always true where /proc is missing)."""
+    return not os.path.isdir("/proc/self") or os_threads() == threading.active_count()
 
 
 @pytest.mark.parametrize("d,r", [(2, 6), (7, 3)])
@@ -231,61 +252,71 @@ def test_trace_norm_matches_plain_svd_on_both_sides_of_crossover(d, r):
     assert abs(trace_norm(image) - expected) < 1e-12
 
 
-def test_trace_norm_limits_small_svds_and_restores_thread_count(blas_limit, monkeypatch):
-    before = blas_limit.get()
-    seen = []
-    svd = np.linalg.svd
+# OpenBLAS's count and this process's OS threads, read in a fresh process
+# right after the import
+_FRESH_IMPORT = """
+import re
+import permsep
+from permsep import states
+status = open("/proc/self/status").read()
+print(states._OPENBLAS.get(), re.search(r"Threads:\\s*(\\d+)", status)[1])
+"""
 
-    def spy(matrix, **kwargs):
-        seen.append(blas_limit.get())
-        return svd(matrix, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", spy)
-    trace_norm(np.eye(SINGLE_THREAD_SVD_MAX_N) / SINGLE_THREAD_SVD_MAX_N)
-    trace_norm(np.eye(SINGLE_THREAD_SVD_MAX_N + 1) / (SINGLE_THREAD_SVD_MAX_N + 1))
-    # a rectangular matrix is limited by its longer side
-    trace_norm(np.ones((SINGLE_THREAD_SVD_MAX_N, 2)))
-    trace_norm(np.ones((2, SINGLE_THREAD_SVD_MAX_N + 1)))
-    trace_norm(np.ones((SINGLE_THREAD_SVD_MAX_N + 1, 2)))
-    assert seen == [1, before, 1, before, before]
-    assert blas_limit.get() == before
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads the thread count in /proc")
+def test_importing_permsep_pins_openblas_and_stops_its_helper(openblas):
+    proc = subprocess.run([sys.executable, "-c", _FRESH_IMPORT], env=src_env(),
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 1\n", "")
+
+
+def test_trace_norms_above_256_run_lifted_then_pin_again(openblas, counts_seen):
+    n, start = SINGLE_THREAD_SVD_MAX_N, openblas.start
+    trace_norm(np.eye(n) / n)
+    trace_norm(np.eye(n + 1) / (n + 1))
+    # a rectangular matrix counts its longer side
+    trace_norm(np.ones((n, 2)))
+    trace_norm(np.ones((2, n + 1)))
+    trace_norm(np.ones((n + 1, 2)))
+    assert counts_seen == [1, start, 1, start, start]
+    assert openblas.get() == 1 and _no_blas_helper()
     with pytest.raises(np.linalg.LinAlgError):
-        trace_norm(np.full((8, 8), np.nan))
-    assert blas_limit.get() == before
+        trace_norm(np.full((n + 1, n + 1), np.nan))
+    assert openblas.get() == 1 and _no_blas_helper()
+    # lifts nest: only the outermost exit pins again
+    with openblas:
+        with openblas:
+            pass
+        assert openblas.get() == start
+    assert openblas.get() == 1 and _no_blas_helper()
 
 
-def test_small_states_are_validated_on_one_thread(blas_limit, monkeypatch):
-    before = blas_limit.get()
+def test_eigensolves_above_256_run_lifted_then_pin_again(openblas, counts_seen):
     bell = bell_state()
-    seen = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def spy(matrix, *args, **kwargs):
-        seen.append(blas_limit.get())
-        return eigvalsh(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     maximally_mixed(2, 8)  # n = 256
     maximally_mixed(17, 2)  # n = 289
     with pytest.raises(ValueError, match="positivity"):
         density_matrix(np.diag([1.5, -0.5]), 2, 1)
-    # the noise images of the one class of roles F and L that fires, QT
+    # the noise images of the one class of roles F and L that fires, QT,
+    # split by one eigensolve, then the SVDs of the other classes' searches
     noise_thresholds(bell, 1e-9)
-    assert seen == [1, before, 1, 1]
-    assert blas_limit.get() == before
+    assert counts_seen[:4] == [1, 1, openblas.start, 1] and set(counts_seen[4:]) == {1}
+    assert openblas.get() == 1 and _no_blas_helper()
 
 
 def test_trace_norm_without_thread_control_is_the_plain_svd(monkeypatch):
-    monkeypatch.setattr(states, "_ONE_BLAS_THREAD", None)
+    monkeypatch.setattr(states, "_OPENBLAS", None)
     for d, r in [(2, 2), (2, 6), (3, 5)]:
         image = _realigned_random_state(d, r, 67)
         assert trace_norm(image) == float(np.linalg.svd(image, compute_uv=False).sum())
 
 
-def test_concurrent_trace_norms_restore_thread_count(blas_limit):
-    before = blas_limit.get()
+def test_concurrent_small_trace_norms_never_set_the_count(openblas, monkeypatch):
     image = _realigned_random_state(2, 4, 73)
     expected = trace_norm(image)
+    set_count = openblas._set
+    counts_set = []
+    monkeypatch.setattr(openblas, "_set", lambda k: counts_set.append(k) or set_count(k))
     results = []
 
     def work():
@@ -304,7 +335,24 @@ def test_concurrent_trace_norms_restore_thread_count(blas_limit):
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert len(results) == 800 and set(results) == {expected}
-    assert blas_limit.get() == before
+    assert counts_set == [] and openblas.get() == 1
+
+
+def test_seeded_states_are_drawn_on_the_start_count(openblas):
+    # at n = 128 the QR and the product round otherwise on one thread than
+    # on two, so a seeded state keeps its bits only if both run lifted
+    n = 2**7
+    rng = np.random.default_rng(19)
+    with openblas:
+        ginibre = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        q, r = np.linalg.qr(ginibre)
+        phases = np.diagonal(r).copy()
+        phases /= np.abs(phases)
+        u = q * phases
+        expected = (u * simplex_weights(n, rng)) @ u.conj().T
+    drawn = random_state(2, 7, np.random.default_rng(19))
+    assert np.array_equal(drawn.blocks[0][1], expected)
+    assert openblas.get() == 1 and _no_blas_helper()
 
 
 def test_seeded_class_norms_repeat_bit_for_bit():

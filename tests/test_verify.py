@@ -7,12 +7,10 @@ import math
 import mmap
 import multiprocessing
 import os
-import re
 import signal
 import sys
 import threading
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +50,8 @@ from permsep.verify import (
     verify_distinctness,
     verify_rule5,
 )
+
+from conftest import os_threads
 
 
 def config(**kw):
@@ -931,8 +931,8 @@ def _out_of_time(signum, frame):
 def pool_on_two_cores(monkeypatch):
     """Any call of class_norms forks one worker; a call that waits on a
     worker that never exits fails the test after 120 s."""
-    if sys.platform != "linux" or states._ONE_BLAS_THREAD is None:
-        pytest.skip("a pool forks only on Linux, under the OpenBLAS thread limit")
+    if sys.platform != "linux" or states._OPENBLAS is None:
+        pytest.skip("a pool forks only on Linux, with OpenBLAS pinned to one thread")
     monkeypatch.setattr(verify, "_usable_cores", lambda: 2)
     monkeypatch.setattr(verify, "POOL_MIN_WORK", 0)
     handler = signal.signal(signal.SIGALRM, _out_of_time)
@@ -1089,16 +1089,26 @@ def test_an_error_in_the_callers_stride_leaves_no_child_or_pipe(pool_on_two_core
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads the thread count in /proc")
 def test_a_worker_never_re_creates_blas_threads(pool_on_two_cores, monkeypatch, tmp_path):
-    # OpenBLAS stops its threads at fork, and the worker inherits the limit
-    # of one thread, so after its SVDs it still runs on its own thread alone
+    # OpenBLAS stops its threads at fork, and the worker inherits the pin to
+    # one thread, so after its SVDs it still runs on its own thread alone
     def report(norms):
-        status = Path("/proc/self/status").read_text()
-        (tmp_path / str(os.getpid())).write_text(re.search(r"Threads:\s*(\d+)", status)[1])
+        (tmp_path / str(os.getpid())).write_text(str(os_threads()))
 
     _in_a_worker(monkeypatch, report)
     class_norms(random_state(2, 5, np.random.default_rng(89)))
     threads = [path.read_text() for path in tmp_path.iterdir()]
     assert threads == ["1"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads the thread count in /proc")
+def test_a_pooled_call_leaves_the_caller_on_one_os_thread(pool_on_two_cores, monkeypatch):
+    # OpenBLAS stops its helper at the fork, and the caller, pinned to one
+    # thread since the import, sets no count after the reap that would
+    # re-create it
+    forks = _counting_forks(monkeypatch)
+    class_norms(random_state(2, 5, np.random.default_rng(89)))
+    assert len(forks) == 1
+    assert os_threads() == threading.active_count() == 1
 
 
 def test_the_caller_and_each_worker_compute_one_stride(pool_on_two_cores, monkeypatch,
@@ -1147,11 +1157,11 @@ def test_a_second_thread_keeps_the_call_in_this_process(pool_on_two_cores, monke
 
 
 def test_without_the_thread_limit_nothing_forks(pool_on_two_cores, monkeypatch):
-    # the pool asks states' _blas_threads, so with no OpenBLAS limit every
-    # norm is computed here, on the caller's thread count
+    # the pool asks states' _pinned, so with no OpenBLAS pinned every norm
+    # is computed here, on the caller's thread count
     rho = random_state(2, 5, np.random.default_rng(89))
     pooled = [norm for _, norm in class_norms(rho)]
-    monkeypatch.setattr(states, "_ONE_BLAS_THREAD", None)
+    monkeypatch.setattr(states, "_OPENBLAS", None)
     forks = _counting_forks(monkeypatch)
     assert np.allclose([norm for _, norm in class_norms(rho)], pooled, rtol=1e-12, atol=0)
     assert forks == []
@@ -1177,13 +1187,13 @@ def test_no_pool_below_the_break_even(monkeypatch):
 def test_each_worker_forks_for_a_limits_worth_of_work(monkeypatch):
     # forks run one after another in the caller, so on 64 cores a j-th
     # worker forks only above j times the limit: (3,4) forks one, (2,6) six
-    if sys.platform != "linux" or states._ONE_BLAS_THREAD is None:
-        pytest.skip("a pool forks only on Linux, under the OpenBLAS thread limit")
+    if sys.platform != "linux" or states._OPENBLAS is None:
+        pytest.skip("a pool forks only on Linux, with OpenBLAS pinned to one thread")
     monkeypatch.setattr(verify, "_usable_cores", lambda: 64)
-    limit, step = states._blas_threads(128), verify.POOL_MIN_WORK
+    pinned, step = states._pinned(128), verify.POOL_MIN_WORK
     works = [step, 1.5 * step, 2 * step, 2.5 * step, 1e3 * step,
              len(enumerate_classes(4)) * 81**3, len(enumerate_classes(6)) * 64**3]
-    assert [verify._pool_workers(work, limit) for work in works] == [0, 1, 1, 2, 63, 1, 6]
+    assert [verify._pool_workers(work, pinned) for work in works] == [0, 1, 1, 2, 63, 1, 6]
     forks = _counting_forks(monkeypatch)
     rho = random_state(3, 4, np.random.default_rng(157))
     pooled = class_norms(rho)
@@ -1193,21 +1203,21 @@ def test_each_worker_forks_for_a_limits_worth_of_work(monkeypatch):
 
 
 def test_one_core_a_large_matrix_or_a_worker_runs_serially(pool_on_two_cores, monkeypatch):
-    assert verify._pool_workers(10**6, states._blas_threads(128)) == 1
+    assert verify._pool_workers(10**6, states._pinned(128)) == 1
     # above it the serial path's SVDs run on BLAS threads, and a worker's
     # on one thread would round otherwise
-    large = states._blas_threads(SINGLE_THREAD_SVD_MAX_N + 1)
+    large = states._pinned(SINGLE_THREAD_SVD_MAX_N + 1)
     assert verify._pool_workers(10**6, large) == 0
-    assert verify._pool_workers(0, states._blas_threads(128)) == 0  # no more than POOL_MIN_WORK
+    assert verify._pool_workers(0, states._pinned(128)) == 0  # no more than POOL_MIN_WORK
     for patch in [
         (verify, "_usable_cores", lambda: 1),
-        # fork safety rests on Linux and on OpenBLAS's one-thread limit
+        # fork safety rests on Linux and on OpenBLAS pinned to one thread
         (verify.sys, "platform", "darwin"),
-        (states, "_ONE_BLAS_THREAD", None),
+        (states, "_OPENBLAS", None),
         # a worker never starts a pool of its own
         (multiprocessing, "parent_process", lambda: object()),
     ]:
         with monkeypatch.context() as patched:
             patched.setattr(*patch)
-            assert verify._pool_workers(10**6, states._blas_threads(128)) == 0, patch
+            assert verify._pool_workers(10**6, states._pinned(128)) == 0, patch
 
