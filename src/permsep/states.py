@@ -172,8 +172,10 @@ class _PinnedOpenBlas:
     no other Python thread could be inside OpenBLAS, stops the helper
     threads: an idle helper spins for about 0.1 s of CPU before it sleeps.
     Setting any count re-creates stopped helpers, so after the pin only
-    this context sets it.  The count is process-wide, so concurrent
-    entrants share one lift: the first lifts and the last pins again.
+    this context sets it, and only ``_blas_threads`` enters it: random
+    draws run on the pinned thread, so a seed gives the same state whatever
+    the count.  The count is process-wide, so concurrent entrants share
+    one lift: the first lifts and the last pins again.
     """
 
     def __init__(self, get, set_, shutdown):
@@ -232,23 +234,24 @@ def _probe_openblas() -> _PinnedOpenBlas | None:
 _OPENBLAS = _probe_openblas()
 
 
-def _blas_threads(n: int) -> _PinnedOpenBlas | None:
-    """The lift a solve of at most n rows and columns runs in: OpenBLAS on
-    its start count above SINGLE_THREAD_SVD_MAX_N; None up to it, where the
-    solve runs on the pinned thread, which is faster, and with no OpenBLAS."""
-    return _OPENBLAS if n > SINGLE_THREAD_SVD_MAX_N else None
-
-
 def _pinned(n: int) -> bool:
     """Whether a solve of at most n rows and columns runs on OpenBLAS's one
-    pinned thread, as it does in a forked worker."""
-    return _OPENBLAS is not None and _blas_threads(n) is None
+    pinned thread, as it does in a forked worker: up to
+    SINGLE_THREAD_SVD_MAX_N, where one thread is faster."""
+    return _OPENBLAS is not None and n <= SINGLE_THREAD_SVD_MAX_N
+
+
+def _blas_threads(n: int) -> contextlib.AbstractContextManager:
+    """The context a solve of at most n rows and columns runs in: OpenBLAS
+    lifted to its start count where the solve is not ``_pinned``, else
+    nothing (and nothing at any size with no OpenBLAS found)."""
+    return contextlib.nullcontext() if _OPENBLAS is None or _pinned(n) else _OPENBLAS
 
 
 def eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, in ``_blas_threads``:
     every eigensolve in permsep runs here."""
-    with _blas_threads(len(matrix)) or contextlib.nullcontext():
+    with _blas_threads(len(matrix)):
         return np.linalg.eigvalsh(matrix)
 
 
@@ -265,7 +268,7 @@ def trace_norm(matrix: np.ndarray) -> float:
         raise ValueError(
             f"trace norm needs a 2-D matrix or a stack of them, got shape {matrix.shape}"
         )
-    with _blas_threads(max(matrix.shape[-2:])) or contextlib.nullcontext():
+    with _blas_threads(max(matrix.shape[-2:])):
         return float(np.linalg.svd(matrix, compute_uv=False).sum())
 
 
@@ -300,20 +303,12 @@ def bell_state() -> DensityMatrix:
     return density_matrix(np.outer(ket, ket), dim=2, parties=2)
 
 
-def _drawing():
-    """The context of the BLAS work in a random draw: OpenBLAS on its start
-    count at every size, where the draws have always run, so that a seed
-    gives the same state whatever sizes OpenBLAS threads at (n >= 125 with
-    OpenBLAS 0.3.31 on 2 cores)."""
-    return _OPENBLAS or contextlib.nullcontext()
-
-
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed n x n unitary: QR of a complex Ginibre matrix with
-    the R-diagonal phases absorbed so the distribution is exactly invariant."""
+    the R-diagonal phases absorbed so the distribution is exactly invariant.
+    The QR runs on the pinned thread (``_PinnedOpenBlas``) at any size."""
     ginibre = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    with _drawing():
-        q, r = np.linalg.qr(ginibre)
+    q, r = np.linalg.qr(ginibre)
     phases = np.diagonal(r).copy()
     phases /= np.abs(phases)
     return q * phases
@@ -327,13 +322,13 @@ def simplex_weights(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_density_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random n x n state: Haar unitary rotation of a uniform spectrum,
-    U diag(lambda) U^dagger.  Deterministic for a fixed generator state."""
+    U diag(lambda) U^dagger.  Deterministic for a fixed generator state, on
+    any core count: the QR and the product run on the pinned thread."""
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
-    with _drawing():  # one lift for the QR and the product
-        u = random_unitary(n, rng)
-        lam = simplex_weights(n, rng)
-        return (u * lam) @ u.conj().T
+    u = random_unitary(n, rng)
+    lam = simplex_weights(n, rng)
+    return (u * lam) @ u.conj().T
 
 
 def random_state(dim: int, parties: int, rng: np.random.Generator) -> DensityMatrix:

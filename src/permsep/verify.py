@@ -14,7 +14,7 @@ import mmap
 import os
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -108,16 +108,7 @@ class EvaluationReport:
             "source": self.source,
             "tolerance": self.tolerance,
             "entangled": bool(self.violations),
-            "results": [
-                {
-                    "class_id": res.class_id,
-                    "roles": res.roles,
-                    "label": res.label,
-                    "trace_norm": res.trace_norm,
-                    "violated": res.violated,
-                }
-                for res in self.results
-            ],
+            "results": [asdict(res) for res in self.results],  # the fields are the keys
         }
 
 
@@ -196,10 +187,11 @@ def _pool_workers(work: float, pinned: bool) -> int:
     """Workers to fork for a call whose images' blocks add up to ``work``
     (m^3 for each m x m), a j-th above j * POOL_MIN_WORK, up to one per spare
     core; 0 where it stays in this process: its largest block's solves not
-    ``pinned`` (``states._pinned``) to one OpenBLAS thread, so that the
-    serial path's SVDs would round otherwise than the workers', too little
-    work to repay a fork, not Linux, another live thread that a fork would
-    not copy, or a ``multiprocessing`` child."""
+    ``pinned`` (``states._pinned``) to one OpenBLAS thread, where every
+    worker would lift to the start count as well and the pool ran 2-9x
+    slower than one process (n = 625, 2 cores), too little work to repay a
+    fork, not Linux, another live thread that a fork would not copy, or a
+    ``multiprocessing`` child."""
     if (not pinned or work <= POOL_MIN_WORK or sys.platform != "linux"
             or threading.active_count() > 1):
         return 0

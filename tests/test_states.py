@@ -1,6 +1,8 @@
 """Numerics: the entry map, trace norms, state constructors, file format."""
 
+import contextlib
 import dataclasses
+import io
 import itertools
 import json
 import os
@@ -338,21 +340,35 @@ def test_concurrent_small_trace_norms_never_set_the_count(openblas, monkeypatch)
     assert counts_set == [] and openblas.get() == 1
 
 
-def test_seeded_states_are_drawn_on_the_start_count(openblas):
-    # at n = 128 the QR and the product round otherwise on one thread than
-    # on two, so a seeded state keeps its bits only if both run lifted
-    n = 2**7
-    rng = np.random.default_rng(19)
-    with openblas:
-        ginibre = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        q, r = np.linalg.qr(ginibre)
-        phases = np.diagonal(r).copy()
-        phases /= np.abs(phases)
-        u = q * phases
-        expected = (u * simplex_weights(n, rng)) @ u.conj().T
-    drawn = random_state(2, 7, np.random.default_rng(19))
-    assert np.array_equal(drawn.blocks[0][1], expected)
-    assert openblas.get() == 1 and _no_blas_helper()
+# the sha256 of seed 19's states at (2,7) and (3,5), whose draws OpenBLAS
+# would thread at its default count
+_DRAW_DIGESTS = """
+import hashlib
+import numpy as np
+from permsep.states import random_state
+for d, r in [(2, 7), (3, 5)]:
+    drawn = random_state(d, r, np.random.default_rng(19)).matrix
+    print(hashlib.sha256(drawn.tobytes()).hexdigest())
+"""
+
+
+def test_a_seed_draws_one_state_on_any_thread_count(openblas, monkeypatch):
+    # the QR and the product of a draw run on the pinned thread at every
+    # size, so neither a lift nor OPENBLAS_NUM_THREADS changes its bits
+    with contextlib.redirect_stdout(io.StringIO()) as here:
+        exec(_DRAW_DIGESTS, {})
+    default = {k: v for k, v in src_env().items() if k != "OPENBLAS_NUM_THREADS"}
+    for env in (default, {**default, "OPENBLAS_NUM_THREADS": "1"}):
+        proc = subprocess.run([sys.executable, "-c", _DRAW_DIGESTS], env=env,
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == here.getvalue()
+    set_count = openblas._set
+    counts_set = []
+    monkeypatch.setattr(openblas, "_set", lambda k: counts_set.append(k) or set_count(k))
+    for n in (128, 300):
+        random_density_matrix(n, np.random.default_rng(19))
+    assert counts_set == [] and openblas.get() == 1 and _no_blas_helper()
 
 
 def test_seeded_class_norms_repeat_bit_for_bit():
