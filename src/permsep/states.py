@@ -14,7 +14,6 @@ norm of some permuted image exceeds 1.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import json
@@ -31,10 +30,6 @@ from .perms import Permutation
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
-# Largest n in the table in BENCH_2.json at which a complex n x n SVD was
-# no slower on one OpenBLAS thread than at the default count; at n >= 343
-# the default was as fast or faster.
-SINGLE_THREAD_SVD_MAX_N = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +112,7 @@ def density_matrix(matrix: np.ndarray, dim: int, parties: int) -> DensityMatrix:
     tr = np.trace(matrix)
     if abs(tr - 1) > TRACE_TOL:
         raise ValueError(f"trace: expected 1, got {np.complex128(tr):.15g}")
-    lo = eigenvalues(matrix).min()
+    lo = np.linalg.eigvalsh(matrix).min()
     if lo < EIGENVALUE_FLOOR:
         raise ValueError(f"positivity: minimum eigenvalue {lo:.3e}")
     matrix.setflags(write=False)
@@ -165,44 +160,23 @@ def _layout(positions) -> tuple[tuple[int, ...], int]:
 
 class _PinnedOpenBlas:
     """OpenBLAS pinned to one thread for the whole process, with no helper
-    thread left running; inside the context it runs on its start count.
+    thread left running.
 
     Pinning sets one thread and then, where OpenBLAS exports
     ``blas_thread_shutdown_`` (the function its own fork handler runs) and
     no other Python thread could be inside OpenBLAS, stops the helper
     threads: an idle helper spins for about 0.1 s of CPU before it sleeps.
-    Setting any count re-creates stopped helpers, so after the pin only
-    this context sets it, and only ``_blas_threads`` enters it: random
-    draws run on the pinned thread, so a seed gives the same state whatever
-    the count.  The count is process-wide, so concurrent entrants share
-    one lift: the first lifts and the last pins again.
+    Setting any count re-creates stopped helpers, so nothing sets it again:
+    every solve and every random draw runs on this one thread at every
+    size, and gives the same bits on any core count.  Parallelism comes
+    from the processes that ``verify.class_norms`` forks.
     """
 
     def __init__(self, get, set_, shutdown):
         self.get = get
-        self._set = set_
-        self._shutdown = shutdown
-        self.start = get()
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._pin()
-
-    def _pin(self):
-        self._set(1)
-        if self._shutdown is not None and threading.active_count() == 1:
-            self._shutdown()
-
-    def __enter__(self):
-        with self._lock:
-            if self._depth == 0:
-                self._set(self.start)
-            self._depth += 1
-
-    def __exit__(self, *exc_info):
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0:
-                self._pin()
+        set_(1)
+        if shutdown is not None and threading.active_count() == 1:
+            shutdown()
 
 
 def _probe_openblas() -> _PinnedOpenBlas | None:
@@ -230,29 +204,8 @@ def _probe_openblas() -> _PinnedOpenBlas | None:
     return None
 
 
-# probed and pinned once, at import, so every caller shares one lift and its depth count
+# probed and pinned once, at import; no count is set after this
 _OPENBLAS = _probe_openblas()
-
-
-def _pinned(n: int) -> bool:
-    """Whether a solve of at most n rows and columns runs on OpenBLAS's one
-    pinned thread, as it does in a forked worker: up to
-    SINGLE_THREAD_SVD_MAX_N, where one thread is faster."""
-    return _OPENBLAS is not None and n <= SINGLE_THREAD_SVD_MAX_N
-
-
-def _blas_threads(n: int) -> contextlib.AbstractContextManager:
-    """The context a solve of at most n rows and columns runs in: OpenBLAS
-    lifted to its start count where the solve is not ``_pinned``, else
-    nothing (and nothing at any size with no OpenBLAS found)."""
-    return contextlib.nullcontext() if _OPENBLAS is None or _pinned(n) else _OPENBLAS
-
-
-def eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, in ``_blas_threads``:
-    every eigensolve in permsep runs here."""
-    with _blas_threads(len(matrix)):
-        return np.linalg.eigvalsh(matrix)
 
 
 def trace_norm(matrix: np.ndarray) -> float:
@@ -261,15 +214,14 @@ def trace_norm(matrix: np.ndarray) -> float:
     A stack of shape (..., m, n) stands for the block-diagonal matrix of its
     m x n blocks: its trace norm is the sum of every block's singular
     values, from one SVD call over the stack.  Every SVD in permsep runs
-    here, in ``_blas_threads`` of the longer side of a block.
+    here, on OpenBLAS's one pinned thread (``_PinnedOpenBlas``).
     """
     matrix = np.asarray(matrix)
     if matrix.ndim < 2:
         raise ValueError(
             f"trace norm needs a 2-D matrix or a stack of them, got shape {matrix.shape}"
         )
-    with _blas_threads(max(matrix.shape[-2:])):
-        return float(np.linalg.svd(matrix, compute_uv=False).sum())
+    return float(np.linalg.svd(matrix, compute_uv=False).sum())
 
 
 _CHESSBOARD = np.array(
@@ -305,8 +257,7 @@ def bell_state() -> DensityMatrix:
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed n x n unitary: QR of a complex Ginibre matrix with
-    the R-diagonal phases absorbed so the distribution is exactly invariant.
-    The QR runs on the pinned thread (``_PinnedOpenBlas``) at any size."""
+    the R-diagonal phases absorbed so the distribution is exactly invariant."""
     ginibre = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(ginibre)
     phases = np.diagonal(r).copy()
@@ -323,7 +274,8 @@ def simplex_weights(n: int, rng: np.random.Generator) -> np.ndarray:
 def random_density_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random n x n state: Haar unitary rotation of a uniform spectrum,
     U diag(lambda) U^dagger.  Deterministic for a fixed generator state, on
-    any core count: the QR and the product run on the pinned thread."""
+    any core count: the QR and the product run on OpenBLAS's one pinned
+    thread, as every solve does."""
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
     u = random_unitary(n, rng)

@@ -1,8 +1,10 @@
 """Verification suites, brute-force oracles, and criterion evaluation reports.
 
 Everything here is deterministic for a fixed seed: states are drawn from a
-single generator stream in a fixed order, and criterion evaluation follows
-the enumeration order.
+single generator stream in a fixed order, criterion evaluation follows the
+enumeration order, and every solve runs on OpenBLAS's one pinned thread,
+in this process or a forked worker, so the bits do not depend on the core
+count.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import states
 from .criteria import (
     CriterionClass,
     Role,
@@ -31,10 +34,8 @@ from .perms import global_transpose, norm_group
 from .states import (
     DensityMatrix,
     _layout,
-    _pinned,
     apply_criterion,
     chessboard_state,
-    eigenvalues,
     random_state,
     tensor_product,
     trace_norm,
@@ -153,7 +154,7 @@ def _noise_parts(rho: DensityMatrix, cls: CriterionClass):
     kept, others = [], []
     for positions, matrix, slots in _block_slots(rho, to_permutation(cls)):
         if all(cls.roles[p - 1] in (Role.FREE, Role.LOOP) for p in positions):
-            kept.append(eigenvalues(apply_criterion(matrix, slots, rho.dim)))
+            kept.append(np.linalg.eigvalsh(apply_criterion(matrix, slots, rho.dim)))
         else:
             others.append((matrix, slots))
     return kept, others
@@ -183,16 +184,14 @@ def _noise_images(rho: DensityMatrix, kept: list, others: list):
     return h[:, None, None] * low, (high / len(h))[None]
 
 
-def _pool_workers(work: float, pinned: bool) -> int:
+def _pool_workers(work: float) -> int:
     """Workers to fork for a call whose images' blocks add up to ``work``
     (m^3 for each m x m), a j-th above j * POOL_MIN_WORK, up to one per spare
-    core; 0 where it stays in this process: its largest block's solves not
-    ``pinned`` (``states._pinned``) to one OpenBLAS thread, where every
-    worker would lift to the start count as well and the pool ran 2-9x
-    slower than one process (n = 625, 2 cores), too little work to repay a
-    fork, not Linux, another live thread that a fork would not copy, or a
+    core; 0 where it stays in this process: too little work to repay a fork,
+    no OpenBLAS pinned to one thread (``states._OPENBLAS``, read at each
+    call), not Linux, another live thread that a fork would not copy, or a
     ``multiprocessing`` child."""
-    if (not pinned or work <= POOL_MIN_WORK or sys.platform != "linux"
+    if (work <= POOL_MIN_WORK or states._OPENBLAS is None or sys.platform != "linux"
             or threading.active_count() > 1):
         return 0
     mp = sys.modules.get("multiprocessing")  # loaded in every multiprocessing child
@@ -208,15 +207,15 @@ def class_norms(
     Each norm is the product of the norms of the blocks' shares
     (``_norm_chunk``), so a product of several blocks, from
     ``tensor_product`` and kept by ``reorder_parties``, takes one small SVD
-    per distinct share in place of one of the whole image.  A call with enough work
-    whose largest block is solved on the pinned thread (see ``_pool_workers``)
-    forks k workers.  Worker j inherits rho, the permutations and one
-    float64 array in shared memory, fills in the norms of every (k + 1)-th
-    image from j, and exits with status 0, or 1 on any error.  This process
-    computes the stride from 0, reaps every worker, and then computes
-    itself the stride of each worker whose status is not 0.  OpenBLAS is
-    pinned to one thread in every process, so the norms are the same bits
-    in any process.
+    per distinct share in place of one of the whole image.  A call with
+    enough work (see ``_pool_workers``), at any size, forks k workers.
+    Worker j inherits rho, the permutations and one float64 array in shared
+    memory, fills in the norms of every (k + 1)-th image from j, and exits
+    with status 0, or 1 on any error.  This process computes the stride
+    from 0, reaps every worker, and then computes itself the stride of each
+    worker whose status is not 0.  OpenBLAS is pinned to one thread in
+    every process, so the norms are the same bits in any process and on
+    any core count.
     """
     if classes is None:
         classes = enumerate_classes(rho.parties)
@@ -226,7 +225,7 @@ def class_norms(
                              f"on {rho.parties} parties")
     perms = [to_permutation(cls) for cls in classes]
     work = sum(len(m) ** 3 for _, m in rho.blocks)  # of one image
-    k = _pool_workers(len(perms) * work, _pinned(max(len(m) for _, m in rho.blocks)))
+    k = _pool_workers(len(perms) * work)
     if not k:
         return list(zip(classes, _norm_chunk(rho, perms)))
     norms = np.ndarray(len(perms), buffer=mmap.mmap(-1, 8 * len(perms)))  # shared float64

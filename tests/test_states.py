@@ -25,7 +25,6 @@ from permsep.perms import (
     identity,
 )
 from permsep.states import (
-    SINGLE_THREAD_SVD_MAX_N,
     DensityMatrix,
     apply_criterion,
     bell_state,
@@ -225,8 +224,8 @@ def openblas():
 
 @pytest.fixture
 def counts_seen(openblas, monkeypatch):
-    """Wrap numpy's SVD and eigensolver to record the OpenBLAS count that
-    each call ran on."""
+    """Wrap numpy's SVD, eigensolver and QR to record the OpenBLAS count
+    that each call ran on."""
     seen = []
 
     def spying(solve):
@@ -235,7 +234,7 @@ def counts_seen(openblas, monkeypatch):
             return solve(*args, **kwargs)
         return spy
 
-    for name in ("svd", "eigvalsh"):
+    for name in ("svd", "eigvalsh", "qr"):
         monkeypatch.setattr(np.linalg, name, spying(getattr(np.linalg, name)))
     return seen
 
@@ -246,10 +245,9 @@ def _no_blas_helper() -> bool:
     return not os.path.isdir("/proc/self") or os_threads() == threading.active_count()
 
 
-@pytest.mark.parametrize("d,r", [(2, 6), (7, 3)])
+@pytest.mark.parametrize("d,r", [(2, 6), (7, 3)])  # n = 64 and 343, either side of 256
 def test_trace_norm_matches_plain_svd_on_both_sides_of_crossover(d, r):
     image = _realigned_random_state(d, r, 61)
-    assert (d**r <= SINGLE_THREAD_SVD_MAX_N) == (d == 2)
     expected = np.linalg.svd(image, compute_uv=False).sum()
     assert abs(trace_norm(image) - expected) < 1e-12
 
@@ -272,37 +270,22 @@ def test_importing_permsep_pins_openblas_and_stops_its_helper(openblas):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 1\n", "")
 
 
-def test_trace_norms_above_256_run_lifted_then_pin_again(openblas, counts_seen):
-    n, start = SINGLE_THREAD_SVD_MAX_N, openblas.start
-    trace_norm(np.eye(n) / n)
-    trace_norm(np.eye(n + 1) / (n + 1))
-    # a rectangular matrix counts its longer side
-    trace_norm(np.ones((n, 2)))
-    trace_norm(np.ones((2, n + 1)))
-    trace_norm(np.ones((n + 1, 2)))
-    assert counts_seen == [1, start, 1, start, start]
-    assert openblas.get() == 1 and _no_blas_helper()
+def test_every_solve_runs_on_one_thread_at_every_size(openblas, counts_seen):
+    n = 256
+    for matrix in [np.eye(n) / n, np.eye(n + 1) / (n + 1), np.eye(343) / 343,
+                   np.ones((n, 2)), np.ones((2, n + 1))]:
+        trace_norm(matrix)
+    assert len(counts_seen) == 5
     with pytest.raises(np.linalg.LinAlgError):
         trace_norm(np.full((n + 1, n + 1), np.nan))
-    assert openblas.get() == 1 and _no_blas_helper()
-    # lifts nest: only the outermost exit pins again
-    with openblas:
-        with openblas:
-            pass
-        assert openblas.get() == start
-    assert openblas.get() == 1 and _no_blas_helper()
-
-
-def test_eigensolves_above_256_run_lifted_then_pin_again(openblas, counts_seen):
     bell = bell_state()
-    maximally_mixed(2, 8)  # n = 256
     maximally_mixed(17, 2)  # n = 289
     with pytest.raises(ValueError, match="positivity"):
         density_matrix(np.diag([1.5, -0.5]), 2, 1)
-    # the noise images of the one class of roles F and L that fires, QT,
-    # split by one eigensolve, then the SVDs of the other classes' searches
+    # the noise images of QT split by one eigensolve, then the searches' SVDs
     noise_thresholds(bell, 1e-9)
-    assert counts_seen[:4] == [1, 1, openblas.start, 1] and set(counts_seen[4:]) == {1}
+    random_density_matrix(300, np.random.default_rng(19))  # one QR
+    assert len(counts_seen) > 10 and set(counts_seen) == {1}
     assert openblas.get() == 1 and _no_blas_helper()
 
 
@@ -313,12 +296,9 @@ def test_trace_norm_without_thread_control_is_the_plain_svd(monkeypatch):
         assert trace_norm(image) == float(np.linalg.svd(image, compute_uv=False).sum())
 
 
-def test_concurrent_small_trace_norms_never_set_the_count(openblas, monkeypatch):
+def test_concurrent_small_trace_norms_never_set_the_count(openblas):
     image = _realigned_random_state(2, 4, 73)
     expected = trace_norm(image)
-    set_count = openblas._set
-    counts_set = []
-    monkeypatch.setattr(openblas, "_set", lambda k: counts_set.append(k) or set_count(k))
     results = []
 
     def work():
@@ -337,24 +317,30 @@ def test_concurrent_small_trace_norms_never_set_the_count(openblas, monkeypatch)
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert len(results) == 800 and set(results) == {expected}
-    assert counts_set == [] and openblas.get() == 1
+    assert openblas.get() == 1
 
 
 # the sha256 of seed 19's states at (2,7) and (3,5), whose draws OpenBLAS
-# would thread at its default count
+# would thread at its default count, and of the first 5 class norms of its
+# (5,4) state, whose 625 x 625 SVDs it would thread as well
 _DRAW_DIGESTS = """
 import hashlib
 import numpy as np
+from permsep.criteria import enumerate_classes
 from permsep.states import random_state
+from permsep.verify import class_norms
 for d, r in [(2, 7), (3, 5)]:
     drawn = random_state(d, r, np.random.default_rng(19)).matrix
     print(hashlib.sha256(drawn.tobytes()).hexdigest())
+rho = random_state(5, 4, np.random.default_rng(19))
+norms = np.array([norm for _, norm in class_norms(rho, enumerate_classes(4)[:5])])
+print(hashlib.sha256(norms.tobytes()).hexdigest())
 """
 
 
-def test_a_seed_draws_one_state_on_any_thread_count(openblas, monkeypatch):
-    # the QR and the product of a draw run on the pinned thread at every
-    # size, so neither a lift nor OPENBLAS_NUM_THREADS changes its bits
+def test_a_seed_draws_one_state_on_any_thread_count(openblas):
+    # the QR and the product of a draw, and every SVD, run on the pinned
+    # thread at every size, so OPENBLAS_NUM_THREADS changes no bit
     with contextlib.redirect_stdout(io.StringIO()) as here:
         exec(_DRAW_DIGESTS, {})
     default = {k: v for k, v in src_env().items() if k != "OPENBLAS_NUM_THREADS"}
@@ -363,12 +349,7 @@ def test_a_seed_draws_one_state_on_any_thread_count(openblas, monkeypatch):
                               capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == here.getvalue()
-    set_count = openblas._set
-    counts_set = []
-    monkeypatch.setattr(openblas, "_set", lambda k: counts_set.append(k) or set_count(k))
-    for n in (128, 300):
-        random_density_matrix(n, np.random.default_rng(19))
-    assert counts_set == [] and openblas.get() == 1 and _no_blas_helper()
+    assert openblas.get() == 1 and _no_blas_helper()
 
 
 def test_seeded_class_norms_repeat_bit_for_bit():

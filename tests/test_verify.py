@@ -26,7 +26,6 @@ from permsep.criteria import (
 )
 from permsep.perms import compose, global_transpose
 from permsep.states import (
-    SINGLE_THREAD_SVD_MAX_N,
     apply_criterion,
     bell_state,
     chessboard_state,
@@ -1157,8 +1156,8 @@ def test_a_second_thread_keeps_the_call_in_this_process(pool_on_two_cores, monke
 
 
 def test_without_the_thread_limit_nothing_forks(pool_on_two_cores, monkeypatch):
-    # the pool asks states' _pinned, so with no OpenBLAS pinned every norm
-    # is computed here, on the caller's thread count
+    # the pool reads states._OPENBLAS at each call, so with no OpenBLAS
+    # pinned every norm is computed here, on the caller's thread count
     rho = random_state(2, 5, np.random.default_rng(89))
     pooled = [norm for _, norm in class_norms(rho)]
     monkeypatch.setattr(states, "_OPENBLAS", None)
@@ -1190,10 +1189,10 @@ def test_each_worker_forks_for_a_limits_worth_of_work(monkeypatch):
     if sys.platform != "linux" or states._OPENBLAS is None:
         pytest.skip("a pool forks only on Linux, with OpenBLAS pinned to one thread")
     monkeypatch.setattr(verify, "_usable_cores", lambda: 64)
-    pinned, step = states._pinned(128), verify.POOL_MIN_WORK
+    step = verify.POOL_MIN_WORK
     works = [step, 1.5 * step, 2 * step, 2.5 * step, 1e3 * step,
              len(enumerate_classes(4)) * 81**3, len(enumerate_classes(6)) * 64**3]
-    assert [verify._pool_workers(work, pinned) for work in works] == [0, 1, 1, 2, 63, 1, 6]
+    assert [verify._pool_workers(work) for work in works] == [0, 1, 1, 2, 63, 1, 6]
     forks = _counting_forks(monkeypatch)
     rho = random_state(3, 4, np.random.default_rng(157))
     pooled = class_norms(rho)
@@ -1202,13 +1201,20 @@ def test_each_worker_forks_for_a_limits_worth_of_work(monkeypatch):
     assert pooled == class_norms(rho)
 
 
-def test_one_core_a_large_matrix_or_a_worker_runs_serially(pool_on_two_cores, monkeypatch):
-    assert verify._pool_workers(10**6, states._pinned(128)) == 1
-    # above it the serial path's SVDs run on BLAS threads, and a worker's
-    # on one thread would round otherwise
-    large = states._pinned(SINGLE_THREAD_SVD_MAX_N + 1)
-    assert verify._pool_workers(10**6, large) == 0
-    assert verify._pool_workers(0, states._pinned(128)) == 0  # no more than POOL_MIN_WORK
+def test_a_state_above_256_pools_to_the_serial_bits(pool_on_two_cores, monkeypatch):
+    # every process solves on one OpenBLAS thread at every size, so the
+    # worker's 625 x 625 SVDs round as the caller's would
+    rho = random_state(5, 4, np.random.default_rng(7))
+    classes = enumerate_classes(4)[:4]
+    forks = _counting_forks(monkeypatch)
+    pooled = [norm for _, norm in class_norms(rho, classes)]
+    assert len(forks) == 1
+    assert pooled == verify._norm_chunk(rho, [to_permutation(cls) for cls in classes])
+
+
+def test_one_core_or_a_worker_runs_serially(pool_on_two_cores, monkeypatch):
+    assert verify._pool_workers(10**6) == 1
+    assert verify._pool_workers(0) == 0  # no more than POOL_MIN_WORK
     for patch in [
         (verify, "_usable_cores", lambda: 1),
         # fork safety rests on Linux and on OpenBLAS pinned to one thread
@@ -1219,5 +1225,5 @@ def test_one_core_a_large_matrix_or_a_worker_runs_serially(pool_on_two_cores, mo
     ]:
         with monkeypatch.context() as patched:
             patched.setattr(*patch)
-            assert verify._pool_workers(10**6, states._pinned(128)) == 0, patch
+            assert verify._pool_workers(10**6) == 0, patch
 
