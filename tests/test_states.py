@@ -270,18 +270,25 @@ def test_importing_permsep_pins_openblas_and_stops_its_helper(openblas):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 1\n", "")
 
 
-def test_every_solve_runs_on_one_thread_at_every_size(openblas, counts_seen):
+def test_trace_norms_above_256_run_on_one_thread(openblas, counts_seen):
     n = 256
     for matrix in [np.eye(n) / n, np.eye(n + 1) / (n + 1), np.eye(343) / 343,
                    np.ones((n, 2)), np.ones((2, n + 1))]:
         trace_norm(matrix)
-    assert len(counts_seen) == 5
+    assert counts_seen == [1] * 5
     with pytest.raises(np.linalg.LinAlgError):
         trace_norm(np.full((n + 1, n + 1), np.nan))
+    assert set(counts_seen) == {1}
+    assert openblas.get() == 1 and _no_blas_helper()
+
+
+def test_eigensolves_and_qr_above_256_run_on_one_thread(openblas, counts_seen):
     bell = bell_state()
+    maximally_mixed(2, 8)  # n = 256
     maximally_mixed(17, 2)  # n = 289
     with pytest.raises(ValueError, match="positivity"):
         density_matrix(np.diag([1.5, -0.5]), 2, 1)
+    assert counts_seen == [1] * 4
     # the noise images of QT split by one eigensolve, then the searches' SVDs
     noise_thresholds(bell, 1e-9)
     random_density_matrix(300, np.random.default_rng(19))  # one QR
